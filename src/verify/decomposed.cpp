@@ -111,24 +111,13 @@ class DecomposedVerifier::Impl {
   explicit Impl(DecomposedConfig config)
       : cfg(config),
         jobs(resolve_jobs(config.jobs)),
-        pool(jobs, config.max_solver_conflicts, config.incremental) {
-    solver.set_max_conflicts(cfg.max_solver_conflicts);
-    solver.set_incremental(cfg.incremental);
-    apply_avoidance(solver);
+        pool(jobs, config.max_solver_conflicts, config.incremental),
+        queue(jobs) {
     pool.set_rewrite(cfg.rewrite);
     pool.set_independence(cfg.independence);
     pool.set_cex_cache(cfg.cex_cache);
     pool.set_core_grouping(cfg.core_grouping);
     pool.set_clause_gc(cfg.clause_gc);
-    if (jobs > 1) queue = std::make_unique<WorkQueue>(jobs);
-  }
-
-  void apply_avoidance(solver::Solver& sv) const {
-    sv.set_rewrite(cfg.rewrite);
-    sv.set_independence(cfg.independence);
-    sv.set_cex_cache(cfg.cex_cache);
-    sv.set_core_grouping(cfg.core_grouping);
-    sv.set_clause_gc(cfg.clause_gc);
   }
 
   static size_t resolve_jobs(size_t requested) {
@@ -139,9 +128,11 @@ class DecomposedVerifier::Impl {
 
   DecomposedConfig cfg;
   size_t jobs;
-  solver::Solver solver;     // the sequential engine's instance
-  solver::SolverPool pool;   // one instance per worker (parallel engine)
-  std::unique_ptr<WorkQueue> queue;  // only when jobs > 1
+  // One solver per worker. Worker 0's is also the caller's: the DFS-ordered
+  // reduce, refinement, the witness solve and key enumeration run on it
+  // while no task is in flight.
+  solver::SolverPool pool;
+  WorkQueue queue;  // at jobs=1 every task runs inline on the caller
   // Step-1 summary caches: private per instance, unless the config hands
   // in a shared bundle (the serve daemon's warm state).
   SummaryCaches own_caches_;
@@ -152,7 +143,11 @@ class DecomposedVerifier::Impl {
   symbex::SharedSummaryCache& cache_unroll() {
     return cfg.shared_caches ? cfg.shared_caches->unroll : own_caches_.unroll;
   }
-  VerifyStats stats;  // accumulated per verification call (reset each call)
+  // Driver-level counters, one block per worker (reset each call and summed
+  // once by snapshot_stats). Block 0 is also the caller's.
+  std::vector<VerifyStats> wstats_;
+  solver::Solver& main_solver() { return pool.at(0); }
+  VerifyStats& main_stats() { return wstats_[0]; }
 
   // ---------------------------------------------------------------------
   // Step 1: element summaries (cached; loop-suspect fallback to unrolling)
@@ -167,8 +162,9 @@ class DecomposedVerifier::Impl {
                       // the composed constraints partition the input space
   };
 
-  // `sv`/`vstats` are the calling worker's solver instance and stats block;
-  // the sequential engine passes the members, parallel workers their own.
+  // `sv`/`vstats` are the calling worker's solver instance and stats block.
+  // Elements are summarized lazily, on first visit, through the
+  // thread-safe cache: concurrent requests for one key compute it once.
   const ElementSummary& summary_for(const ir::Program& prog, size_t len,
                                     Precision precision, solver::Solver& sv,
                                     VerifyStats& vstats) {
@@ -366,8 +362,8 @@ class DecomposedVerifier::Impl {
   // continuing into `down`) installs the segment's output packet. Returns
   // nullopt when the stitched constraint folds to false — for a trap
   // segment that IS the Step-2 elimination, the paper's p1 case, where
-  // (in < 0) ∧ (0 < 0) collapses syntactically. Shared by the sequential
-  // and parallel walks so compose semantics cannot diverge between them.
+  // (in < 0) ∧ (0 < 0) collapses syntactically. Shared by the property walk
+  // and the refinement re-walk so compose semantics cannot diverge.
   std::optional<ComposeState> expand_segment(const ElementSummary& sum,
                                              const Segment& g,
                                              const ComposeState& st,
@@ -397,105 +393,120 @@ class DecomposedVerifier::Impl {
     return next;
   }
 
-  // Generic DAG walk (sequential engine). on_terminal(state, element_index,
-  // segment) is invoked for every composed terminal (Drop, Trap, or Emit
-  // leaving the pipeline). `should_visit` prunes subtrees (e.g. elements
-  // that cannot reach a suspect). Returns false if the path budget was
-  // exhausted.
-  template <typename TerminalFn, typename VisitFn>
-  bool walk(const pipeline::Pipeline& pl, size_t elem, ComposeState st,
-            const TerminalFn& on_terminal, const VisitFn& should_visit,
-            Precision precision) {
-    if (!should_visit(elem)) return true;
-    const ElementSummary& sum = summary_for(pl.element(elem).model_program(),
-                                            st.bytes.size(), precision,
-                                            solver, stats);
-    if (sum.truncated) {
-      truncated_ = true;
-      return false;
-    }
-    for (const Segment& g : sum.segments) {
-      if (budget_exhausted_) return false;
-      const bool is_emit = g.action == SegAction::Emit;
-      const std::optional<size_t> down =
-          is_emit ? pl.downstream(elem, g.port) : std::nullopt;
-      auto expanded = expand_segment(sum, g, st, elem, down, stats);
-      if (!expanded) continue;
-      ComposeState next = std::move(*expanded);
-      if (is_emit && down.has_value()) {
-        if (!walk(pl, *down, std::move(next), on_terminal, should_visit,
-                  precision)) {
-          return false;
-        }
-        continue;
-      }
-      ++stats.composed_paths_checked;
-      if (stats.composed_paths_checked > cfg.max_composed_paths) {
-        budget_exhausted_ = true;
-        return false;
-      }
-      on_terminal(next, elem, g);
-    }
-    return true;
-  }
-
   // ---------------------------------------------------------------------
-  // Parallel walk (jobs > 1): the same DAG exploration, but every feasible
-  // Emit edge forks a work-queue task, and terminals are handed to the
-  // callback on whichever worker reached them. Each terminal carries its
-  // DFS address (the segment index chosen at every element), so callers
-  // sort results into exactly the sequential emission order — reports are
+  // The composed-path walk. Every feasible Emit edge submits a work-queue
+  // task for the downstream subtree, and terminals (Drop, Trap, or Emit
+  // leaving the pipeline) are handed to the callback on whichever worker
+  // reached them. At jobs=1 the queue runs each task inline, so the walk
+  // is a plain depth-first recursion on the caller. Each terminal carries
+  // its DFS address (the segment index chosen at every element), so callers
+  // sort results into exactly the jobs=1 emission order — reports are
   // byte-for-byte deterministic in verdicts, suspect sets, and path lists
   // regardless of job count.
   //
   // Caveat, shared with every parallel model checker that bounds work with
-  // a global counter: if max_composed_paths is actually exhausted, WHICH
-  // terminals won a budget slot depends on scheduling, so an exhausted run
-  // may report Violated (with a genuine counterexample) on one run and
-  // Unknown on another — both sound, neither a proof. Within the budget
-  // (all tier-1 workloads are orders of magnitude below it) results are
-  // fully deterministic.
+  // a global counter: if max_composed_paths is actually exhausted at
+  // jobs > 1, WHICH terminals won a budget slot depends on scheduling, so
+  // an exhausted run may report Violated (with a genuine counterexample) on
+  // one run and Unknown on another — both sound, neither a proof. Within
+  // the budget (all tier-1 workloads are orders of magnitude below it)
+  // results are fully deterministic.
   // ---------------------------------------------------------------------
 
   struct TerminalRecord {
     std::vector<uint32_t> order;  // DFS address: per-element segment index
     ComposeState st;
-    size_t elem = 0;
     const Segment* seg = nullptr;
   };
-  using MtTerminalFn = std::function<void(size_t worker, TerminalRecord&&)>;
-  using MtVisitFn = std::function<bool(size_t elem)>;
+  using TerminalFn = std::function<void(size_t worker, TerminalRecord&&)>;
+  using VisitFn = std::function<bool(size_t elem)>;
+
+  // A truncated summary or an exhausted path budget ends the walk; tasks
+  // check both before every segment.
+  bool stopped() const { return truncated_ || budget_exhausted_; }
+
+  // Counts one composed path; false (with the budget flag set) once
+  // max_composed_paths is exceeded.
+  bool count_path() {
+    const uint64_t done =
+        paths_checked_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (done <= cfg.max_composed_paths) return true;
+    budget_exhausted_ = true;
+    return false;
+  }
+
+  // Walks every composed path from element 0 and returns once the whole
+  // task tree has drained. `should_visit` prunes subtrees (e.g. elements
+  // that cannot reach a suspect).
+  void walk_paths(const pipeline::Pipeline& pl, ComposeState root,
+                  const TerminalFn& on_terminal, const VisitFn& should_visit,
+                  Precision precision) {
+    queue.submit([this, &pl, st = std::move(root), &on_terminal,
+                  &should_visit, precision](size_t w) mutable {
+      walk_task(pl, 0, std::move(st), {}, w, on_terminal, should_visit,
+                precision);
+    });
+    queue.wait_idle();
+  }
+
+  void walk_task(const pipeline::Pipeline& pl, size_t elem, ComposeState st,
+                 std::vector<uint32_t> order, size_t worker,
+                 const TerminalFn& on_terminal, const VisitFn& should_visit,
+                 Precision precision) {
+    if (stopped() || !should_visit(elem)) return;
+    VerifyStats& ws = wstats_[worker];
+    const ElementSummary& sum =
+        summary_for(pl.element(elem).model_program(), st.bytes.size(), precision,
+                    pool.at(worker), ws);
+    if (sum.truncated) {
+      truncated_ = true;
+      return;
+    }
+    for (uint32_t i = 0; i < sum.segments.size(); ++i) {
+      if (stopped()) return;
+      const Segment& g = sum.segments[i];
+      const bool is_emit = g.action == SegAction::Emit;
+      const std::optional<size_t> down =
+          is_emit ? pl.downstream(elem, g.port) : std::nullopt;
+      auto expanded = expand_segment(sum, g, st, elem, down, ws);
+      if (!expanded) continue;
+      std::vector<uint32_t> corder = order;
+      corder.push_back(i);
+      if (is_emit && down.has_value()) {
+        queue.submit([this, &pl, d = *down, n = std::move(*expanded),
+                      o = std::move(corder), &on_terminal, &should_visit,
+                      precision](size_t w) mutable {
+          walk_task(pl, d, std::move(n), std::move(o), w, on_terminal,
+                    should_visit, precision);
+        });
+        continue;
+      }
+      if (!count_path()) return;
+      on_terminal(worker,
+                  TerminalRecord{std::move(corder), std::move(*expanded), &g});
+    }
+  }
 
   void begin_call(const pipeline::Pipeline& pl) {
-    stats = {};
+    wstats_.assign(jobs, VerifyStats{});
     begin_cache_context(pl);
+    paths_checked_.store(0, std::memory_order_relaxed);
     truncated_ = false;
     budget_exhausted_ = false;
     refine_cache_.clear();
     state_writes_memo_.clear();
-    solver.reset_stats();
+    pool.reset_stats();
     // One live incremental context per solver per top-level call: reuse
     // within the call's query runs, bounded memory across a batch.
-    solver.reset_context();
+    pool.reset_contexts();
     // Route every solver's feasibility verdicts through the persistent
     // cache. This is where the big warm win lives: most of a cold run's
     // sat_solves are summarization-time fork checks (Executor is_unsat),
     // and those are pure expression satisfiability — context-free, so the
     // memo is sound across runs and across pipelines.
-    solver.set_feasibility_memo(cfg.decision_cache);
     for (size_t w = 0; w < pool.size(); ++w) {
       pool.at(w).set_feasibility_memo(cfg.decision_cache);
     }
-  }
-
-  void begin_call_mt(const pipeline::Pipeline& pl) {
-    begin_call(pl);
-    mt_stats_.assign(jobs, VerifyStats{});
-    mt_paths_checked_.store(0, std::memory_order_relaxed);
-    mt_truncated_.store(false, std::memory_order_relaxed);
-    mt_budget_exhausted_.store(false, std::memory_order_relaxed);
-    pool.reset_stats();
-    pool.reset_contexts();
   }
 
   // -------------------------------------------------------------------
@@ -609,7 +620,7 @@ class DecomposedVerifier::Impl {
     return fp;
   }
 
-  // Feasibility speculation (instruction-bound drivers) through the
+  // Feasibility speculation (instruction-bound driver) through the
   // persistent cache: both polarities are reusable here — acting on Sat
   // needs no model, because the witness comes from a separate one-shot
   // solve on the winning path only.
@@ -634,11 +645,14 @@ class DecomposedVerifier::Impl {
     return sv.check_feasible(c);
   }
 
-  // Final per-call stats: the driver-level counters plus the solver-layer
-  // totals of every solver instance the call used.
+  // Final per-call stats: every worker's driver counters plus the
+  // solver-layer totals of every worker's solver.
   VerifyStats snapshot_stats() {
-    VerifyStats out = stats;
-    const auto add = [&out](const solver::CheckStats& cs) {
+    VerifyStats out;
+    for (const VerifyStats& s : wstats_) out += s;
+    out.composed_paths_checked = paths_checked_.load(std::memory_order_relaxed);
+    for (size_t w = 0; w < pool.size(); ++w) {
+      const solver::CheckStats& cs = pool.at(w).stats();
       out.sat_conflicts += cs.sat_conflicts;
       out.sat_decisions += cs.sat_decisions;
       out.blast_nodes += cs.blast_nodes;
@@ -658,114 +672,8 @@ class DecomposedVerifier::Impl {
       // Solver-layer persistent-memo hits are decision-cache hits for
       // reporting: one counter tells the whole query-avoidance story.
       out.decision_cache_hits += cs.memo_hits;
-    };
-    add(solver.stats());
-    if (jobs > 1) {
-      for (size_t w = 0; w < pool.size(); ++w) add(pool.at(w).stats());
     }
     return out;
-  }
-
-  void merge_mt_stats() {
-    for (const VerifyStats& s : mt_stats_) {
-      stats.elements_summarized += s.elements_summarized;
-      stats.summary_cache_hits += s.summary_cache_hits;
-      stats.segments_total += s.segments_total;
-      stats.suspects_found += s.suspects_found;
-      stats.suspects_eliminated += s.suspects_eliminated;
-      stats.composed_paths_checked += s.composed_paths_checked;
-      stats.solver_queries += s.solver_queries;
-      stats.instructions_interpreted += s.instructions_interpreted;
-      stats.forks += s.forks;
-      stats.refinements_attempted += s.refinements_attempted;
-      stats.refinements_certified += s.refinements_certified;
-      stats.refinements_eliminated += s.refinements_eliminated;
-      stats.suspects_core_discharged += s.suspects_core_discharged;
-      stats.decision_cache_hits += s.decision_cache_hits;
-      stats.refine_cache_hits += s.refine_cache_hits;
-    }
-    mt_stats_.assign(jobs, VerifyStats{});
-  }
-
-  // Step 1 fan-out: summarize every element of the pipeline concurrently.
-  // Distinct programs run on distinct workers; duplicates coalesce in the
-  // shared cache. Returns the per-element summaries in pipeline order.
-  std::vector<const ElementSummary*> prewarm(const pipeline::Pipeline& pl,
-                                             Precision precision) {
-    std::vector<const ElementSummary*> sums(pl.size(), nullptr);
-    parallel_for(*queue, pl.size(), [&](size_t e, size_t w) {
-      sums[e] = &summary_for(pl.element(e).model_program(), cfg.packet_len,
-                             precision, pool.at(w), mt_stats_[w]);
-    });
-    return sums;
-  }
-
-  void mt_walk(const pipeline::Pipeline& pl, ComposeState root,
-               const MtTerminalFn& on_terminal, const MtVisitFn& should_visit,
-               Precision precision) {
-    queue->submit([this, &pl, st = std::move(root), &on_terminal,
-                   &should_visit, precision](size_t w) mutable {
-      mt_walk_task(pl, 0, std::move(st), {}, w, on_terminal, should_visit,
-                   precision);
-    });
-    queue->wait_idle();
-    if (mt_truncated_.load(std::memory_order_relaxed)) truncated_ = true;
-    if (mt_budget_exhausted_.load(std::memory_order_relaxed)) {
-      budget_exhausted_ = true;
-    }
-    stats.composed_paths_checked +=
-        mt_paths_checked_.exchange(0, std::memory_order_relaxed);
-  }
-
-  void mt_walk_task(const pipeline::Pipeline& pl, size_t elem, ComposeState st,
-                    std::vector<uint32_t> order, size_t worker,
-                    const MtTerminalFn& on_terminal,
-                    const MtVisitFn& should_visit, Precision precision) {
-    if (mt_truncated_.load(std::memory_order_relaxed) ||
-        mt_budget_exhausted_.load(std::memory_order_relaxed)) {
-      return;
-    }
-    if (!should_visit(elem)) return;
-    VerifyStats& wstats = mt_stats_[worker];
-    const ElementSummary& sum =
-        summary_for(pl.element(elem).model_program(), st.bytes.size(), precision,
-                    pool.at(worker), wstats);
-    if (sum.truncated) {
-      mt_truncated_.store(true, std::memory_order_relaxed);
-      return;
-    }
-    for (uint32_t i = 0; i < sum.segments.size(); ++i) {
-      const Segment& g = sum.segments[i];
-      const bool is_emit = g.action == SegAction::Emit;
-      const std::optional<size_t> down =
-          is_emit ? pl.downstream(elem, g.port) : std::nullopt;
-      auto expanded = expand_segment(sum, g, st, elem, down, wstats);
-      if (!expanded) continue;
-      ComposeState next = std::move(*expanded);
-      std::vector<uint32_t> corder = order;
-      corder.push_back(i);
-      if (is_emit && down.has_value()) {
-        queue->submit([this, &pl, d = *down, n = std::move(next),
-                       o = std::move(corder), &on_terminal, &should_visit,
-                       precision](size_t w) mutable {
-          mt_walk_task(pl, d, std::move(n), std::move(o), w, on_terminal,
-                       should_visit, precision);
-        });
-        continue;
-      }
-      const uint64_t done =
-          mt_paths_checked_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (done > cfg.max_composed_paths) {
-        mt_budget_exhausted_.store(true, std::memory_order_relaxed);
-        return;
-      }
-      TerminalRecord t;
-      t.order = std::move(corder);
-      t.st = std::move(next);
-      t.elem = elem;
-      t.seg = &g;
-      on_terminal(worker, std::move(t));
-    }
   }
 
   // ---------------------------------------------------------------------
@@ -894,7 +802,7 @@ class DecomposedVerifier::Impl {
   //
   // A suspect (wrong-port Emit, Drop, or Trap) whose composed path crossed
   // a summarized loop is Sat-but-uncertifiable: the model may be an
-  // artifact of the havocked loop outputs (sat_is_unknown below). Instead
+  // artifact of the havocked loop outputs (see reach_never). Instead
   // of degrading to Unknown, re-execute JUST that element trace with loops
   // concretely unrolled (exact summaries) and decide the violating exits
   // again. Upgrades the suspect to a certified Violated (a model over
@@ -1142,10 +1050,10 @@ class DecomposedVerifier::Impl {
                            ComposeState st, const std::vector<bool>& counted,
                            const std::vector<bool>& filter,
                            std::vector<PathInsertSite>* out) {
-    if (!filter[elem] || truncated_ || budget_exhausted_) return;
+    if (!filter[elem] || stopped()) return;
     const ElementSummary& sum =
         summary_for(pl.element(elem).model_program(), st.bytes.size(),
-                    Precision::AcceptBounds, solver, stats);
+                    Precision::AcceptBounds, main_solver(), main_stats());
     if (sum.truncated) {
       truncated_ = true;
       return;
@@ -1160,7 +1068,7 @@ class DecomposedVerifier::Impl {
     }
     for (size_t si = 0; si < sum.segments.size(); ++si) {
       const Segment& g = sum.segments[si];
-      if (truncated_ || budget_exhausted_) return;
+      if (stopped()) return;
       const bool is_emit = g.action == SegAction::Emit;
       const std::optional<size_t> down =
           is_emit ? pl.downstream(elem, g.port) : std::nullopt;
@@ -1203,11 +1111,7 @@ class DecomposedVerifier::Impl {
         }
       }
       if (continues) {
-        ++stats.composed_paths_checked;
-        if (stats.composed_paths_checked > cfg.max_composed_paths) {
-          budget_exhausted_ = true;
-          return;
-        }
+        if (!count_path()) return;
         next.bytes = std::move(inst->out_bytes);
         next.meta = inst->out_meta;
         collect_state_sites(pl, *down, std::move(next), counted, filter,
@@ -1220,6 +1124,7 @@ class DecomposedVerifier::Impl {
                                  const InputPredicate& predicate,
                                  const StateBoundSpec& spec) {
     Timer timer;
+    begin_call(pl);
     StateBoundReport report;
     report.bound = spec.bound;
 
@@ -1227,17 +1132,6 @@ class DecomposedVerifier::Impl {
     for (size_t e = 0; e < pl.size(); ++e) {
       counted[e] =
           spec.element.empty() || pl.element(e).name() == spec.element;
-    }
-
-    // Step 1 (parallel engine: fanned out across workers; the enumeration
-    // below is inherently sequential — every query depends on the keys
-    // found so far — so it runs identically at any job count).
-    if (jobs > 1) {
-      begin_call_mt(pl);
-      prewarm(pl, Precision::AcceptBounds);
-      merge_mt_stats();
-    } else {
-      begin_call(pl);
     }
 
     // Report scaffolding: every table of every counted element appears in
@@ -1263,19 +1157,15 @@ class DecomposedVerifier::Impl {
     ComposeState root = root_state(entry);
     root.constraint = predicate(entry);
 
-    // Steps 1+2: stitch every insert site onto its pipeline paths
-    // (summaries come from the cache prewarm above when jobs > 1).
+    // Steps 1+2: stitch every insert site onto its pipeline paths. Like
+    // the enumeration below, whose every query depends on the keys found
+    // so far, this runs on the caller at any job count.
     std::vector<PathInsertSite> sites;
     {
       const std::vector<bool> filter = reachability_filter(pl, counted);
       collect_state_sites(pl, 0, std::move(root), counted, filter, &sites);
     }
-    if (truncated_ || budget_exhausted_) {
-      report.verdict = Verdict::Unknown;
-      report.stats = snapshot_stats();
-      report.seconds = timer.seconds();
-      return report;
-    }
+    if (stopped()) return finish(report, Verdict::Unknown, timer);
 
     // Step 3: enumerate distinct feasible keys per (element, table) with
     // blocking clauses. Each Sat model is one injectable packet creating
@@ -1314,7 +1204,7 @@ class DecomposedVerifier::Impl {
       // the models (hence packet bytes) are byte-identical at any --jobs.
       std::unique_ptr<solver::SolverContext> ectx;
       if (cfg.incremental) {
-        ectx = std::make_unique<solver::SolverContext>(solver);
+        ectx = std::make_unique<solver::SolverContext>(main_solver());
       }
       for (const PathInsertSite* site : group) {
         // The bad-value refinement for reads along the site's path: fixed
@@ -1325,7 +1215,8 @@ class DecomposedVerifier::Impl {
           refined = site->guard;
           for (const PathKvRead& pr : site->kv_reads) {
             refined = bv::mk_land(
-                refined, kv_history_constraint(pl, pr, solver, stats));
+                refined,
+                kv_history_constraint(pl, pr, main_solver(), main_stats()));
           }
         }
         for (;;) {
@@ -1342,7 +1233,7 @@ class DecomposedVerifier::Impl {
           bv::Assignment model;
           solver::Result r;
           if (ectx) {
-            ++stats.solver_queries;
+            ++main_stats().solver_queries;
             solver::CheckResult cr = ectx->check_assuming(q);
             r = cr.result;
             model = std::move(cr.model);
@@ -1350,7 +1241,8 @@ class DecomposedVerifier::Impl {
             ComposeState cs;
             cs.constraint = q;
             cs.kv_reads = site->kv_reads;
-            r = decide_suspect(pl, cs, &model, nullptr, solver, stats);
+            r = decide_suspect(pl, cs, &model, nullptr, main_solver(),
+                               main_stats());
           }
           if (r == solver::Result::Unsat) break;  // site dry; next site
           if (r == solver::Result::Unknown) {
@@ -1389,26 +1281,18 @@ class DecomposedVerifier::Impl {
       const uint64_t replayed = replay_sequence_occupancy_counted(
           pl, report.packet_sequence, counted);
       if (replayed > spec.bound) {
-        report.verdict = Verdict::Violated;
-      } else {
-        report.verdict = Verdict::Unknown;
-        report.sequence_uncertified = true;
-        report.packet_sequence.clear();
+        return finish(report, Verdict::Violated, timer);
       }
-    } else if (unknown) {
-      report.verdict = Verdict::Unknown;
+      report.sequence_uncertified = true;
       report.packet_sequence.clear();
-    } else {
-      report.verdict = Verdict::Proven;
-      report.packet_sequence.clear();
+      return finish(report, Verdict::Unknown, timer);
     }
-    report.stats = snapshot_stats();
-    report.seconds = timer.seconds();
-    return report;
+    report.packet_sequence.clear();
+    return finish(report, unknown ? Verdict::Unknown : Verdict::Proven, timer);
   }
 
   // ---------------------------------------------------------------------
-  // Helpers shared by the public property drivers
+  // Helpers shared by the property drivers
   // ---------------------------------------------------------------------
 
   // Entry lengths each element can be reached at, starting from
@@ -1425,8 +1309,7 @@ class DecomposedVerifier::Impl {
   // infeasibility is NOT consulted, so the sets over-approximate — safe,
   // since Step 2 still decides every suspect with the stitched constraint.
   std::vector<std::set<size_t>> reachable_entry_lengths(
-      const pipeline::Pipeline& pl, solver::Solver& sv, VerifyStats& vstats,
-      bool* any_truncated) {
+      const pipeline::Pipeline& pl, bool* any_truncated) {
     std::vector<std::set<size_t>> lens(pl.size());
     std::vector<std::pair<size_t, size_t>> work;
     const auto push = [&](size_t e, size_t len) {
@@ -1438,7 +1321,7 @@ class DecomposedVerifier::Impl {
       work.pop_back();
       const ElementSummary& sum =
           summary_for(pl.element(e).model_program(), len,
-                      Precision::AcceptBounds, sv, vstats);
+                      Precision::AcceptBounds, main_solver(), main_stats());
       if (sum.truncated) {
         *any_truncated = true;
         continue;
@@ -1502,28 +1385,42 @@ class DecomposedVerifier::Impl {
     return root;
   }
 
+  // Fills in the report's verdict, stats and time.
+  template <typename Report>
+  Report finish(Report& report, Verdict verdict, const Timer& timer) {
+    report.verdict = verdict;
+    report.stats = snapshot_stats();
+    report.seconds = timer.seconds();
+    return std::move(report);
+  }
+
+  Verdict walk_verdict(bool violated) const {
+    if (violated) return Verdict::Violated;
+    return stopped() ? Verdict::Unknown : Verdict::Proven;
+  }
+
   // ---------------------------------------------------------------------
-  // Parallel property drivers
+  // Property drivers
   // ---------------------------------------------------------------------
 
   // Shared by the crash-freedom and reachability drivers: walk, decide
   // every suspect terminal on the worker that reached it, then reduce the
-  // outcomes in sequential DFS order (sort by address) so eliminations,
-  // truncation, and the counterexample list come out exactly as at jobs=1.
-  // `is_suspect` selects the property's suspect terminals and reports the
-  // trap kind for the counterexample. Returns the violated flag.
-  // `is_suspect` may set *sat_is_unknown for suspects whose Sat outcome
-  // cannot certify a violation (over-approximated constraints): those
-  // degrade to Unknown instead of Violated.
-  bool decide_suspects_mt(
+  // outcomes in DFS order (sort by address) so truncation and the
+  // counterexample list come out identically at any job count. An Unsat
+  // suspect only counts as eliminated on its worker; Sat and Unknown
+  // outcomes are buffered for the reduce. `is_suspect` selects the
+  // property's suspect terminals and reports the trap kind for the
+  // counterexample. It may set *sat_is_unknown for suspects whose Sat
+  // outcome cannot certify a violation (over-approximated constraints):
+  // those re-decide on the per-path unroll refinement against `tspec` and
+  // the root constraint, or degrade to Unknown. Returns the violated flag.
+  bool decide_suspects(
       const pipeline::Pipeline& pl, ComposeState root, const SymPacket& entry,
-      const MtVisitFn& should_visit, Precision precision,
+      const VisitFn& should_visit, Precision precision,
       const std::function<bool(const TerminalRecord&, size_t worker,
                                ir::TrapKind* trap, bool* sat_is_unknown)>&
           is_suspect,
-      std::vector<Counterexample>* counterexamples,
-      const TerminalSpec* refine_tspec = nullptr,
-      const ExprRef* refine_root = nullptr) {
+      const TerminalSpec& tspec, std::vector<Counterexample>* counterexamples) {
     struct Outcome {
       std::vector<uint32_t> order;
       solver::Result res = solver::Result::Unknown;
@@ -1531,9 +1428,10 @@ class DecomposedVerifier::Impl {
       Counterexample ce;
       std::vector<size_t> trace;  // for the unroll refinement
     };
+    const ExprRef root_constraint = root.constraint;
     std::mutex out_mu;
     std::vector<Outcome> outcomes;
-    mt_walk(
+    walk_paths(
         pl, std::move(root),
         [&](size_t w, TerminalRecord&& t) {
           ir::TrapKind trap = ir::TrapKind::Unreachable;
@@ -1541,8 +1439,12 @@ class DecomposedVerifier::Impl {
           if (!is_suspect(t, w, &trap, &sat_unknown)) return;
           bv::Assignment model;
           std::string note;
-          const solver::Result r = decide_suspect(pl, t.st, &model, &note,
-                                                  pool.at(w), mt_stats_[w]);
+          const solver::Result r =
+              decide_suspect(pl, t.st, &model, &note, pool.at(w), wstats_[w]);
+          if (r == solver::Result::Unsat) {
+            ++wstats_[w].suspects_eliminated;
+            return;
+          }
           Outcome o;
           o.order = std::move(t.order);
           o.res = r;
@@ -1561,34 +1463,27 @@ class DecomposedVerifier::Impl {
                                                    const Outcome& b) {
       return a.order < b.order;
     });
-    merge_mt_stats();
     bool violated = false;
     for (Outcome& o : outcomes) {
-      if (o.res == solver::Result::Unsat) {
-        ++stats.suspects_eliminated;
-        continue;
-      }
-      if (o.res == solver::Result::Sat && o.sat_is_unknown) {
-        // Uncertifiable summarized-loop suspect: refine on the main
-        // solver, in DFS order — outcomes stay identical at any job count.
-        if (refine_tspec != nullptr && refine_root != nullptr) {
-          bool first = false;
-          const RefineOutcome& ro =
-              refine_cached(pl, *refine_tspec, entry, *refine_root, o.trace,
-                            solver, stats, &first);
-          if (ro.res == solver::Result::Sat) {
-            violated = true;
-            if (first) counterexamples->push_back(ro.ce);
-            continue;
-          }
-          if (ro.res == solver::Result::Unsat) continue;  // eliminated
-        }
-        truncated_ = true;
-        continue;
-      }
       if (o.res == solver::Result::Unknown) {
         truncated_ = true;
         continue;
+      }
+      if (o.sat_is_unknown) {
+        // Uncertifiable summarized-loop suspect: refine on the main
+        // solver, in DFS order — outcomes stay identical at any job count.
+        // Suspects sharing a trace pay for and report one refinement.
+        bool first = false;
+        const RefineOutcome& ro =
+            refine_cached(pl, tspec, entry, root_constraint, o.trace,
+                          main_solver(), main_stats(), &first);
+        if (ro.res == solver::Result::Sat) {
+          violated = true;
+          if (first) counterexamples->push_back(ro.ce);
+        } else if (ro.res == solver::Result::Unknown) {
+          truncated_ = true;
+        }
+        continue;  // Unsat: certified infeasible once unrolled
       }
       violated = true;
       counterexamples->push_back(std::move(o.ce));
@@ -1596,59 +1491,51 @@ class DecomposedVerifier::Impl {
     return violated;
   }
 
-  CrashFreedomReport crash_freedom_mt(const pipeline::Pipeline& pl) {
+  CrashFreedomReport crash_freedom(const pipeline::Pipeline& pl) {
     Timer timer;
-    begin_call_mt(pl);
+    begin_call(pl);
     CrashFreedomReport report;
 
-    // Step 1, fanned out: one summarization task per element at the entry
-    // length. The length fixpoint below mostly hits that warm cache; it
-    // only summarizes extra (element, length) pairs downstream of strips.
-    prewarm(pl, Precision::AcceptBounds);
+    // Step 1: summarize every element at every entry length it can be
+    // reached at (strips/encaps change the length mid-pipeline — see
+    // reachable_entry_lengths); find suspects (feasible trap segments under
+    // unconstrained element input).
     std::vector<bool> has_suspect(pl.size(), false);
     bool any_truncated = false;
     const std::vector<std::set<size_t>> lens =
-        reachable_entry_lengths(pl, pool.at(0), mt_stats_[0], &any_truncated);
+        reachable_entry_lengths(pl, &any_truncated);
     for (size_t e = 0; e < pl.size(); ++e) {
       for (const size_t len : lens[e]) {
         const ElementSummary& sum =
             summary_for(pl.element(e).model_program(), len,
-                        Precision::AcceptBounds, pool.at(0), mt_stats_[0]);
+                        Precision::AcceptBounds, main_solver(), main_stats());
         if (sum.truncated) any_truncated = true;
         for (const Segment& g : sum.segments) {
           if (g.action != SegAction::Trap) continue;
-          ++mt_stats_[0].suspects_found;
+          ++main_stats().suspects_found;
           if (!g.constraint->is_false()) has_suspect[e] = true;
         }
       }
     }
-    if (any_truncated) {
-      merge_mt_stats();
-      report.verdict = Verdict::Unknown;
-      report.stats = snapshot_stats();
-      report.seconds = timer.seconds();
-      return report;
-    }
+    if (any_truncated) return finish(report, Verdict::Unknown, timer);
+    // No element can trap for any input: the pipeline provably never
+    // crashes, no composition needed.
     if (std::none_of(has_suspect.begin(), has_suspect.end(),
                      [](bool b) { return b; })) {
-      merge_mt_stats();
-      report.verdict = Verdict::Proven;
-      report.stats = snapshot_stats();
-      report.seconds = timer.seconds();
-      return report;
+      return finish(report, Verdict::Proven, timer);
     }
 
-    // Step 2, fanned out: walk forks per feasible edge; each suspect trap
-    // is decided on the worker that reached it, with that worker's solver.
-    // Sat traps on summarized-loop paths refine in the DFS-ordered reduce
-    // (see sat_is_unknown), identically to the sequential engine.
+    // Step 2: compose paths that can reach a suspect element and decide
+    // each suspect trap with the full stitched constraint. For Sat trap
+    // suspects on paths that crossed a summarized loop (in any upstream
+    // element), the model may be a havoc artifact — certify or eliminate
+    // via the per-path unroll refinement, exactly like reach/never.
     const std::vector<bool> filter = reachability_filter(pl, has_suspect);
     const SymPacket entry = SymPacket::symbolic(cfg.packet_len, "in");
     TerminalSpec crash_tspec;
     crash_tspec.drop_is_violation = false;
     crash_tspec.trap_is_violation = true;
-    const ExprRef crash_root = bv::mk_bool(true);
-    const bool violated = decide_suspects_mt(
+    const bool violated = decide_suspects(
         pl, root_state(entry), entry, [&](size_t e) { return filter[e]; },
         Precision::AcceptBounds,
         [](const TerminalRecord& t, size_t /*w*/, ir::TrapKind* trap,
@@ -1658,31 +1545,23 @@ class DecomposedVerifier::Impl {
           *sat_unknown = t.st.count_is_bound;
           return true;
         },
-        &report.counterexamples, &crash_tspec, &crash_root);
-
-    if (violated) {
-      report.verdict = Verdict::Violated;
-    } else if (truncated_ || budget_exhausted_) {
-      report.verdict = Verdict::Unknown;
-    } else {
-      report.verdict = Verdict::Proven;
-    }
-    report.stats = snapshot_stats();
-    report.seconds = timer.seconds();
-    return report;
+        crash_tspec, &report.counterexamples);
+    return finish(report, walk_verdict(violated), timer);
   }
 
-  InstructionBoundReport instruction_bound_mt(const pipeline::Pipeline& pl) {
+  InstructionBoundReport instruction_bound(const pipeline::Pipeline& pl) {
     Timer timer;
-    begin_call_mt(pl);
+    begin_call(pl);
     InstructionBoundReport report;
-    prewarm(pl, Precision::AcceptBounds);
 
     const SymPacket entry = SymPacket::symbolic(cfg.packet_len, "in");
-    // Terminals are buffered before deciding, so peak memory is O(paths)
-    // where jobs=1 streams — per terminal just the DFS address plus refs
-    // into the (immortal, interned) constraint DAG. Acceptable up to the
-    // path budget; revisit with streamed batches if budgets grow.
+    // Terminals are buffered before deciding, at every job count, so peak
+    // memory is O(paths): per terminal just the DFS address plus refs into
+    // the (immortal, interned) constraint DAG, which dominates. On the
+    // depth-14 `deep` chain (525,050 composed paths over its three
+    // assertions) peak RSS at jobs=1 is 549 MB, against 547 MB for a scan
+    // that decides each terminal as the walk reaches it. Revisit with
+    // streamed batches if budgets grow.
     struct Rec {
       std::vector<uint32_t> order;
       uint64_t total = 0;
@@ -1691,7 +1570,7 @@ class DecomposedVerifier::Impl {
     };
     std::mutex rec_mu;
     std::vector<Rec> recs;
-    mt_walk(
+    walk_paths(
         pl, root_state(entry),
         [&](size_t /*w*/, TerminalRecord&& t) {
           Rec r;
@@ -1707,20 +1586,21 @@ class DecomposedVerifier::Impl {
     std::sort(recs.begin(), recs.end(),
               [](const Rec& a, const Rec& b) { return a.order < b.order; });
 
-    // Batched speculative decision with the sequential engine's exact
-    // semantics. The jobs=1 driver walks terminals in DFS order, solving
-    // only when a terminal's count could improve the running max. Here we
-    // gather the next batch of candidates under the current max, decide
-    // them concurrently, then apply results in DFS order — dropping any
-    // speculative result whose candidate the sequential engine would have
+    // Batched speculative decision with the semantics of a DFS-order scan
+    // that solves only when a terminal's count could improve the running
+    // max. Each batch gathers the next candidates under the current max,
+    // decides them concurrently, then applies results in DFS order —
+    // dropping any speculative result whose candidate the scan would have
     // skipped (its count no longer beats the max by apply time). Verdict,
-    // bound, and witness are bit-identical to jobs=1; only the (wasted)
-    // speculation differs.
+    // bound, and witness are bit-identical at any job count; only the
+    // (wasted) speculation differs. At jobs=1 a batch is one candidate, so
+    // the scan wastes no query. The feasibility queries share long path
+    // prefixes, exactly the incremental context's workload.
     uint64_t best = 0;
     bool best_is_bound = false;
     bv::ExprRef best_constraint;
     bool saw_unknown = false;
-    const size_t batch_max = std::max<size_t>(4 * jobs, 16);
+    const size_t batch_max = jobs == 1 ? 1 : std::max<size_t>(4 * jobs, 16);
     size_t cursor = 0;
     while (cursor < recs.size()) {
       std::vector<size_t> batch;
@@ -1737,13 +1617,13 @@ class DecomposedVerifier::Impl {
       }
       if (batch.empty()) break;
       std::vector<solver::Result> res(batch.size(), solver::Result::Unknown);
-      parallel_for(*queue, batch.size(), [&](size_t bi, size_t w) {
+      parallel_for(queue, batch.size(), [&](size_t bi, size_t w) {
         res[bi] = cached_feasible(recs[batch[bi]].constraint, pool.at(w),
-                                  mt_stats_[w]);
+                                  wstats_[w]);
       });
       for (size_t bi = 0; bi < batch.size(); ++bi) {
         Rec& r = recs[batch[bi]];
-        if (r.total <= best) continue;  // wasted speculation; seq skipped it
+        if (r.total <= best) continue;  // wasted speculation; scan skips it
         if (res[bi] == solver::Result::Unsat) continue;
         if (res[bi] == solver::Result::Unknown) {
           saw_unknown = true;
@@ -1755,35 +1635,31 @@ class DecomposedVerifier::Impl {
       }
       cursor = next_cursor;
     }
-    merge_mt_stats();
 
     report.max_instructions = best;
     report.bound_is_exact = !best_is_bound;
     // The witness model comes from a one-shot solve on the main solver —
-    // deterministic in the constraint alone, so the packet bytes match
-    // jobs=1 exactly no matter which worker decided feasibility. Under a
+    // deterministic in the constraint alone, so the packet bytes match at
+    // any job count no matter which worker decided feasibility. Under a
     // finite conflict budget that fresh solve can come back Unknown even
     // though the incremental context already proved the path feasible; no
     // witness is derivable then, so the verdict honestly degrades.
-    const bool already_unknown =
-        truncated_ || budget_exhausted_ || saw_unknown;
+    const bool already_unknown = stopped() || saw_unknown;
     solver::CheckResult witness_model;
     if (best_constraint && !already_unknown) {
-      witness_model = solver.check(best_constraint);
+      witness_model = main_solver().check(best_constraint);
     }
     if (already_unknown ||
-        (best_constraint &&
-         witness_model.result != solver::Result::Sat)) {
-      report.verdict = Verdict::Unknown;
-    } else {
-      report.verdict = Verdict::Proven;
-      net::Packet witness = entry.to_concrete(witness_model.model);
-      report.witness_instructions = replay_instruction_count(pl, witness);
-      report.witness = std::move(witness);
+        (best_constraint && witness_model.result != solver::Result::Sat)) {
+      return finish(report, Verdict::Unknown, timer);
     }
-    report.stats = snapshot_stats();
-    report.seconds = timer.seconds();
-    return report;
+    net::Packet witness = entry.to_concrete(witness_model.model);
+    // Replay the witness concretely (scratch private state, the live
+    // pipeline is untouched) to report the achieved count: equals the bound
+    // when exact, a measured value under the bound otherwise.
+    report.witness_instructions = replay_instruction_count(pl, witness);
+    report.witness = std::move(witness);
+    return finish(report, Verdict::Proven, timer);
   }
 
   // True when a composed terminal (Drop, Trap, or Emit leaving the
@@ -1817,18 +1693,11 @@ class DecomposedVerifier::Impl {
   // counterexample, eliminate the artifact, or degrade to Unknown. The
   // differential fuzz harness caught exactly this class as unreplayable
   // counterexamples before the path-wide gate existed.
-  static bool sat_is_unknown(const TerminalSpec& spec, SegAction action,
-                             bool count_is_bound) {
-    (void)spec;
-    (void)action;
-    return count_is_bound;
-  }
-
-  ReachabilityReport reach_never_mt(const pipeline::Pipeline& pl,
-                                    const InputPredicate& predicate,
-                                    const TerminalSpec& tspec) {
+  ReachabilityReport reach_never(const pipeline::Pipeline& pl,
+                                 const InputPredicate& predicate,
+                                 const TerminalSpec& tspec) {
     Timer timer;
-    begin_call_mt(pl);
+    begin_call(pl);
     ReachabilityReport report;
 
     const SymPacket entry = SymPacket::symbolic(cfg.packet_len, "in");
@@ -1839,9 +1708,7 @@ class DecomposedVerifier::Impl {
       report.seconds = timer.seconds();
       return report;
     }
-    const ExprRef root_constraint = root.constraint;
-    prewarm(pl, Precision::ExactDropsTraps);
-    const bool violated = decide_suspects_mt(
+    const bool violated = decide_suspects(
         pl, std::move(root), entry, [](size_t) { return true; },
         Precision::ExactDropsTraps,
         [this, &tspec](const TerminalRecord& t, size_t w, ir::TrapKind* trap,
@@ -1849,32 +1716,20 @@ class DecomposedVerifier::Impl {
           if (!terminal_violates(tspec, t.seg->action, t.seg->port)) {
             return false;
           }
-          ++mt_stats_[w].suspects_found;
+          ++wstats_[w].suspects_found;
           *trap = t.seg->action == SegAction::Trap ? t.seg->trap
                                                    : ir::TrapKind::Unreachable;
-          *sat_unknown =
-              sat_is_unknown(tspec, t.seg->action, t.st.count_is_bound);
+          *sat_unknown = t.st.count_is_bound;
           return true;
         },
-        &report.counterexamples, &tspec, &root_constraint);
-
-    if (violated) {
-      report.verdict = Verdict::Violated;
-    } else if (truncated_ || budget_exhausted_) {
-      report.verdict = Verdict::Unknown;
-    } else {
-      report.verdict = Verdict::Proven;
-    }
-    report.stats = snapshot_stats();
-    report.seconds = timer.seconds();
-    return report;
+        tspec, &report.counterexamples);
+    return finish(report, walk_verdict(violated), timer);
   }
 
-  ComposedPaths enumerate_paths_mt(const pipeline::Pipeline& pl) {
-    begin_call_mt(pl);
+  ComposedPaths enumerate_paths(const pipeline::Pipeline& pl) {
+    begin_call(pl);
     ComposedPaths out;
     out.entry = SymPacket::symbolic(cfg.packet_len, "in");
-    prewarm(pl, Precision::ExactAll);
 
     struct Item {
       std::vector<uint32_t> order;
@@ -1882,7 +1737,7 @@ class DecomposedVerifier::Impl {
     };
     std::mutex item_mu;
     std::vector<Item> items;
-    mt_walk(
+    walk_paths(
         pl, root_state(out.entry),
         [&](size_t /*w*/, TerminalRecord&& t) {
           Item it;
@@ -1903,23 +1758,19 @@ class DecomposedVerifier::Impl {
 
     std::sort(items.begin(), items.end(),
               [](const Item& a, const Item& b) { return a.order < b.order; });
-    merge_mt_stats();
     out.paths.reserve(items.size());
     for (Item& it : items) out.paths.push_back(std::move(it.path));
-    out.complete = !truncated_ && !budget_exhausted_;
+    out.complete = !stopped();
     return out;
   }
 
   std::unordered_map<const Segment*, std::vector<ExprRef>> aux_cache_;
   std::mutex aux_mu_;
-  bool truncated_ = false;
-  bool budget_exhausted_ = false;
 
-  // Parallel-engine state, reset per call.
-  std::vector<VerifyStats> mt_stats_;
-  std::atomic<uint64_t> mt_paths_checked_{0};
-  std::atomic<bool> mt_truncated_{false};
-  std::atomic<bool> mt_budget_exhausted_{false};
+  // Per-call walk state, shared by every worker.
+  std::atomic<uint64_t> paths_checked_{0};
+  std::atomic<bool> truncated_{false};
+  std::atomic<bool> budget_exhausted_{false};
 };
 
 // ---------------------------------------------------------------------
@@ -1944,218 +1795,26 @@ DecomposedVerifier::~DecomposedVerifier() = default;
 symbex::SharedSummaryCache& DecomposedVerifier::cache() {
   return impl_->cache_summarize();
 }
-solver::Solver& DecomposedVerifier::solver() { return impl_->solver; }
+solver::Solver& DecomposedVerifier::solver() { return impl_->main_solver(); }
 const DecomposedConfig& DecomposedVerifier::config() const {
   return impl_->cfg;
 }
 
 CrashFreedomReport DecomposedVerifier::verify_crash_freedom(
     const pipeline::Pipeline& pl) {
-  Impl& im = *impl_;
   obs::ScopedSpan phase(obs::Cat::Phase, "crash_freedom");
-  if (im.jobs > 1) return im.crash_freedom_mt(pl);
-  Timer timer;
-  im.begin_call(pl);
-  CrashFreedomReport report;
-
-  // Step 1: summarize every element at every entry length it can be
-  // reached at (strips/encaps change the length mid-pipeline — see
-  // reachable_entry_lengths); find suspects (feasible trap segments under
-  // unconstrained element input).
-  std::vector<bool> has_suspect(pl.size(), false);
-  bool any_truncated = false;
-  const std::vector<std::set<size_t>> lens = im.reachable_entry_lengths(
-      pl, im.solver, im.stats, &any_truncated);
-  for (size_t e = 0; e < pl.size(); ++e) {
-    for (const size_t len : lens[e]) {
-      const ElementSummary& sum =
-          im.summary_for(pl.element(e).model_program(), len,
-                         Impl::Precision::AcceptBounds, im.solver, im.stats);
-      if (sum.truncated) any_truncated = true;
-      for (const Segment& g : sum.segments) {
-        if (g.action != SegAction::Trap) continue;
-        ++im.stats.suspects_found;
-        if (!g.constraint->is_false()) has_suspect[e] = true;
-      }
-    }
-  }
-  if (any_truncated) {
-    report.verdict = Verdict::Unknown;
-    report.stats = im.snapshot_stats();
-    report.seconds = timer.seconds();
-    return report;
-  }
-  const bool none = std::none_of(has_suspect.begin(), has_suspect.end(),
-                                 [](bool b) { return b; });
-  if (none) {
-    // No element can trap for any input: the pipeline provably never
-    // crashes, no composition needed.
-    report.verdict = Verdict::Proven;
-    report.stats = im.snapshot_stats();
-    report.seconds = timer.seconds();
-    return report;
-  }
-
-  // Step 2: compose paths that can reach a suspect element and decide each
-  // suspect trap with the full stitched constraint.
-  const std::vector<bool> filter = im.reachability_filter(pl, has_suspect);
-  const SymPacket entry = SymPacket::symbolic(im.cfg.packet_len, "in");
-  Impl::ComposeState root = Impl::root_state(entry);
-
-  // For Sat trap suspects on paths that crossed a summarized loop (in any
-  // upstream element), the model may be a havoc artifact — certify or
-  // eliminate via the per-path unroll refinement, exactly like reach/never.
-  TerminalSpec crash_tspec;
-  crash_tspec.drop_is_violation = false;
-  crash_tspec.trap_is_violation = true;
-  const bv::ExprRef crash_root = bv::mk_bool(true);
-
-  bool violated = false;
-  const bool complete = im.walk(
-      pl, 0, std::move(root),
-      [&](const Impl::ComposeState& st, size_t /*elem*/, const Segment& g) {
-        if (g.action != SegAction::Trap) return;
-        bv::Assignment model;
-        std::string note;
-        const solver::Result r =
-            im.decide_suspect(pl, st, &model, &note, im.solver, im.stats);
-        if (r == solver::Result::Unsat) {
-          ++im.stats.suspects_eliminated;
-          return;
-        }
-        if (r == solver::Result::Unknown) {
-          im.truncated_ = true;
-          return;
-        }
-        if (st.count_is_bound) {
-          bool first = false;
-          const Impl::RefineOutcome& ro =
-              im.refine_cached(pl, crash_tspec, entry, crash_root,
-                               st.elem_trace, im.solver, im.stats, &first);
-          if (ro.res == solver::Result::Sat) {
-            violated = true;
-            if (first) report.counterexamples.push_back(ro.ce);
-          } else if (ro.res == solver::Result::Unknown) {
-            im.truncated_ = true;
-          }
-          return;  // Unsat: certified infeasible once unrolled
-        }
-        violated = true;
-        report.counterexamples.push_back(im.make_counterexample(
-            pl, entry, st, model, g.trap, std::move(note)));
-      },
-      [&](size_t e) { return filter[e]; },
-      Impl::Precision::AcceptBounds);
-
-  if (violated) {
-    report.verdict = Verdict::Violated;
-  } else if (!complete || im.truncated_) {
-    report.verdict = Verdict::Unknown;
-  } else {
-    report.verdict = Verdict::Proven;
-  }
-  report.stats = im.snapshot_stats();
-  report.seconds = timer.seconds();
-  return report;
+  return impl_->crash_freedom(pl);
 }
 
 InstructionBoundReport DecomposedVerifier::verify_instruction_bound(
     const pipeline::Pipeline& pl) {
-  Impl& im = *impl_;
   obs::ScopedSpan phase(obs::Cat::Phase, "instruction_bound");
-  if (im.jobs > 1) return im.instruction_bound_mt(pl);
-  Timer timer;
-  im.begin_call(pl);
-  InstructionBoundReport report;
-
-  const SymPacket entry = SymPacket::symbolic(im.cfg.packet_len, "in");
-  Impl::ComposeState root = Impl::root_state(entry);
-
-  uint64_t best = 0;
-  bool best_is_bound = false;
-  bv::ExprRef best_constraint;
-  bool saw_unknown = false;
-
-  const bool complete = im.walk(
-      pl, 0, std::move(root),
-      [&](const Impl::ComposeState& st, size_t /*elem*/, const Segment& g) {
-        // st already includes the terminal segment's count (walk adds it
-        // before invoking the callback).
-        (void)g;
-        const uint64_t total = st.count;
-        if (total <= best) return;  // cannot improve the max
-        // Feasibility only — these speculative decisions share long path
-        // prefixes, exactly the incremental context's workload. The witness
-        // model is derived once at the end, for the winning path only.
-        const solver::Result r =
-            im.cached_feasible(st.constraint, im.solver, im.stats);
-        if (r == solver::Result::Unsat) return;
-        if (r == solver::Result::Unknown) {
-          saw_unknown = true;
-          return;
-        }
-        best = total;
-        best_is_bound = st.count_is_bound || g.count_is_bound;
-        best_constraint = st.constraint;
-      },
-      [](size_t) { return true; },
-      Impl::Precision::AcceptBounds);
-
-  report.max_instructions = best;
-  report.bound_is_exact = !best_is_bound;
-  // See instruction_bound_mt: the deterministic one-shot witness solve can
-  // exhaust a finite conflict budget even though feasibility was already
-  // decided — without a model there is no witness, hence no proof claim.
-  const bool already_unknown = !complete || im.truncated_ || saw_unknown;
-  solver::CheckResult witness_model;
-  if (best_constraint && !already_unknown) {
-    witness_model = im.solver.check(best_constraint);
-  }
-  if (already_unknown ||
-      (best_constraint &&
-       witness_model.result != solver::Result::Sat)) {
-    report.verdict = Verdict::Unknown;
-  } else {
-    report.verdict = Verdict::Proven;
-    net::Packet witness = entry.to_concrete(witness_model.model);
-    // Replay the witness concretely (scratch private state, the live
-    // pipeline is untouched) to report the achieved count: equals the bound
-    // when exact, a measured value under the bound otherwise.
-    report.witness_instructions = replay_instruction_count(pl, witness);
-    report.witness = std::move(witness);
-  }
-  report.stats = im.snapshot_stats();
-  report.seconds = timer.seconds();
-  return report;
+  return impl_->instruction_bound(pl);
 }
 
 ComposedPaths DecomposedVerifier::enumerate_paths(
     const pipeline::Pipeline& pl) {
-  Impl& im = *impl_;
-  if (im.jobs > 1) return im.enumerate_paths_mt(pl);
-  im.begin_call(pl);
-  ComposedPaths out;
-  out.entry = SymPacket::symbolic(im.cfg.packet_len, "in");
-  Impl::ComposeState root = Impl::root_state(out.entry);
-
-  const bool complete = im.walk(
-      pl, 0, std::move(root),
-      [&](const Impl::ComposeState& st, size_t /*elem*/, const Segment& g) {
-        ComposedPath cp;
-        cp.constraint = st.constraint;
-        for (const size_t e : st.elem_trace) {
-          cp.element_path.push_back(pl.element(e).name());
-        }
-        cp.action = g.action;
-        cp.port = g.port;
-        cp.trap = g.trap;
-        cp.instr_count = st.count;
-        cp.count_is_bound = st.count_is_bound;
-        out.paths.push_back(std::move(cp));
-      },
-      [](size_t) { return true; }, Impl::Precision::ExactAll);
-  out.complete = complete && !im.truncated_;
-  return out;
+  return impl_->enumerate_paths(pl);
 }
 
 ReachabilityReport DecomposedVerifier::verify_never_dropped(
@@ -2173,76 +1832,8 @@ StateBoundReport DecomposedVerifier::verify_bounded_state(
 ReachabilityReport DecomposedVerifier::verify_reach_never(
     const pipeline::Pipeline& pl, const InputPredicate& predicate,
     const TerminalSpec& tspec) {
-  Impl& im = *impl_;
   obs::ScopedSpan phase(obs::Cat::Phase, "reach_never");
-  if (im.jobs > 1) return im.reach_never_mt(pl, predicate, tspec);
-  Timer timer;
-  im.begin_call(pl);
-  ReachabilityReport report;
-
-  const SymPacket entry = SymPacket::symbolic(im.cfg.packet_len, "in");
-  Impl::ComposeState root = Impl::root_state(entry);
-  root.constraint = predicate(entry);
-  if (root.constraint->is_false()) {
-    report.verdict = Verdict::Proven;  // vacuous: no packet matches
-    report.seconds = timer.seconds();
-    return report;
-  }
-  const bv::ExprRef root_constraint = root.constraint;
-
-  bool violated = false;
-  const bool complete = im.walk(
-      pl, 0, std::move(root),
-      [&](const Impl::ComposeState& st, size_t /*elem*/, const Segment& g) {
-        if (!Impl::terminal_violates(tspec, g.action, g.port)) return;
-        ++im.stats.suspects_found;
-        bv::Assignment model;
-        std::string note;
-        const solver::Result r =
-            im.decide_suspect(pl, st, &model, &note, im.solver, im.stats);
-        if (r == solver::Result::Unsat) {
-          ++im.stats.suspects_eliminated;
-          return;
-        }
-        if (r == solver::Result::Unknown) {
-          im.truncated_ = true;
-          return;
-        }
-        if (Impl::sat_is_unknown(tspec, g.action, st.count_is_bound)) {
-          // Sat on over-approximated loop outputs proves nothing; re-walk
-          // just this path with the loop concretely unrolled (memoized:
-          // suspects sharing a trace pay for and report one refinement).
-          bool first = false;
-          const Impl::RefineOutcome& ro =
-              im.refine_cached(pl, tspec, entry, root_constraint,
-                               st.elem_trace, im.solver, im.stats, &first);
-          if (ro.res == solver::Result::Sat) {
-            violated = true;
-            if (first) report.counterexamples.push_back(ro.ce);
-          } else if (ro.res == solver::Result::Unknown) {
-            im.truncated_ = true;
-          }
-          return;  // Unsat: certified infeasible once unrolled
-        }
-        violated = true;
-        report.counterexamples.push_back(im.make_counterexample(
-            pl, entry, st, model,
-            g.action == SegAction::Trap ? g.trap : ir::TrapKind::Unreachable,
-            std::move(note)));
-      },
-      [](size_t) { return true; },
-      Impl::Precision::ExactDropsTraps);
-
-  if (violated) {
-    report.verdict = Verdict::Violated;
-  } else if (!complete || im.truncated_) {
-    report.verdict = Verdict::Unknown;
-  } else {
-    report.verdict = Verdict::Proven;
-  }
-  report.stats = im.snapshot_stats();
-  report.seconds = timer.seconds();
-  return report;
+  return impl_->reach_never(pl, predicate, tspec);
 }
 
 }  // namespace vsd::verify

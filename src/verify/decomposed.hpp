@@ -83,14 +83,15 @@ struct DecomposedConfig {
   // an option-walking loop. Deterministic like the instruction cap;
   // exceeding it truncates the summary (refinement gives up as Unknown).
   uint64_t refine_max_solver_checks = 0;
-  // Worker threads for the parallel engine: Step 1 summarizes elements
-  // concurrently and Step 2 walks/decides stitched paths concurrently, each
-  // worker with its own solver instance. 1 keeps the seed's sequential
-  // engine; 0 means one worker per hardware thread. Verdicts, suspect sets,
-  // and counterexample paths are identical at any value (within budgets).
+  // Worker threads for the work-queue engine: the Step-2 walk summarizes
+  // each element on first visit and walks/decides stitched paths
+  // concurrently, each worker with its own solver instance. 1 runs the
+  // same engine inline on the calling thread; 0 means one worker per
+  // hardware thread. Verdicts, suspect sets, and counterexample paths are
+  // identical at any value (within budgets).
   size_t jobs = 1;
-  // Incremental assumption-based solving (default on): every solver —
-  // sequential and per-worker — keeps a live SAT context across the
+  // Incremental assumption-based solving (default on): every worker's
+  // solver keeps a live SAT context across the
   // query-heavy inner loops (Step-2 stitched decisions, bounded-state key
   // enumeration, unroll-refinement re-walks, symbex fork checks) instead
   // of re-blasting each query from scratch. Verdicts, counterexamples, and
@@ -220,10 +221,9 @@ class DecomposedVerifier {
   // entries (an upper bound on simultaneous occupancy — tight unless an
   // insert segment also evicts other keys); Violated returns a concrete
   // packet sequence inserting bound+1 distinct entries, certified by
-  // sequence replay. With jobs > 1, Step 1
-  // summarization fans out across workers; the enumeration itself is
-  // inherently sequential (each query depends on the keys found so far) and
-  // gives identical results at any job count.
+  // sequence replay. The site walk and the enumeration run on the calling
+  // thread at any job count (each query depends on the keys found so far),
+  // so results are identical at any job count.
   StateBoundReport verify_bounded_state(const pipeline::Pipeline& pl,
                                         const InputPredicate& predicate,
                                         const StateBoundSpec& spec);

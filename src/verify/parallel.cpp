@@ -6,10 +6,10 @@
 
 namespace vsd::verify {
 
-WorkQueue::WorkQueue(size_t jobs) {
-  const size_t n = jobs == 0 ? 1 : jobs;
-  workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+WorkQueue::WorkQueue(size_t jobs) : jobs_(jobs == 0 ? 1 : jobs) {
+  if (jobs_ == 1) return;  // inline: tasks run on the submitting thread
+  workers_.reserve(jobs_);
+  for (size_t i = 0; i < jobs_; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
@@ -24,6 +24,10 @@ WorkQueue::~WorkQueue() {
 }
 
 void WorkQueue::submit(Task task) {
+  if (workers_.empty()) {
+    run(task, 0);
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
@@ -42,6 +46,15 @@ void WorkQueue::wait_idle() {
   }
 }
 
+void WorkQueue::run(Task& task, size_t worker) {
+  try {
+    task(worker);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!first_error_) first_error_ = std::current_exception();
+  }
+}
+
 void WorkQueue::worker_loop(size_t index) {
   // Worker w traces on lane w+1; lane 0 stays the caller's main thread.
   obs::set_lane(static_cast<uint32_t>(index) + 1);
@@ -54,12 +67,9 @@ void WorkQueue::worker_loop(size_t index) {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    try {
+    {
       obs::ScopedSpan sp(obs::Cat::Task, "task");
-      task(index);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
+      run(task, index);
     }
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -1,17 +1,22 @@
 // Work-queue scheduler for the parallel verification engine.
 //
-// Decomposition makes the paper's two verification steps embarrassingly
-// parallel: Step 1 summarizes each element independently, and Step 2
-// decides each stitched path constraint independently. This scheduler fans
-// both out over N worker threads (plain std::thread + mutex/condvar, no
-// external dependencies). Tasks may submit further tasks — the composed-
-// path walk forks a subtree task per feasible Emit segment — and
-// wait_idle() returns only when the whole task tree has drained.
+// Decomposition makes the paper's Step 2 embarrassingly parallel: each
+// stitched path constraint is decided independently. This scheduler fans
+// the composed-path walk out over N worker threads (plain std::thread +
+// mutex/condvar, no external dependencies); Step 1 summaries are computed
+// lazily by whichever worker first reaches an element. Tasks may submit
+// further tasks — the walk forks a subtree task per feasible Emit segment
+// — and wait_idle() returns only when the whole task tree has drained.
 //
 // Each task receives its worker index so callers can hand every worker its
 // own solver instance and stats block; nothing in the engine shares mutable
 // state across workers except the summary cache (itself thread-safe) and
 // the interned expression pool.
+//
+// One worker means no thread at all: submit() runs the task inline on the
+// calling thread as worker 0, so nested submissions run depth-first in
+// submission order (a plain recursive walk) and no `task` trace span is
+// recorded. Every --jobs value thus runs the same driver code.
 #pragma once
 
 #include <condition_variable>
@@ -30,14 +35,16 @@ class WorkQueue {
   // A unit of work; `worker` is this task's worker index in [0, jobs()).
   using Task = std::function<void(size_t worker)>;
 
-  // Spawns `jobs` workers (at least 1).
+  // Spawns `jobs` worker threads when jobs > 1; 0 counts as 1, which
+  // spawns none.
   explicit WorkQueue(size_t jobs);
   ~WorkQueue();
 
   WorkQueue(const WorkQueue&) = delete;
   WorkQueue& operator=(const WorkQueue&) = delete;
 
-  // Enqueues a task. Safe to call from within a running task.
+  // Enqueues a task, or at one job runs it before returning. Safe to call
+  // from within a running task.
   void submit(Task task);
 
   // Blocks until every submitted task (including tasks submitted by tasks)
@@ -45,11 +52,14 @@ class WorkQueue {
   // remains usable for another round of submissions afterwards.
   void wait_idle();
 
-  size_t jobs() const { return workers_.size(); }
+  size_t jobs() const { return jobs_; }
 
  private:
   void worker_loop(size_t index);
+  // Runs one task, recording its exception (if any) for wait_idle().
+  void run(Task& task, size_t worker);
 
+  const size_t jobs_;
   std::mutex mu_;
   std::condition_variable work_cv_;  // signals workers: task available / stop
   std::condition_variable idle_cv_;  // signals wait_idle: pending hit zero

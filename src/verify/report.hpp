@@ -51,8 +51,8 @@ struct VerifyStats {
   uint64_t refinements_attempted = 0;
   uint64_t refinements_certified = 0;
   uint64_t refinements_eliminated = 0;
-  // Solver-layer totals for this call, aggregated across the sequential
-  // engine's solver and (at jobs > 1) every worker's. sat_conflicts /
+  // Solver-layer totals for this call, aggregated across every worker's
+  // solver. sat_conflicts /
   // sat_decisions span one-shot and incremental solves alike, so they are
   // directly comparable across DecomposedConfig::incremental settings —
   // the tab9 bench and the CI perf-smoke assert on exactly these.
@@ -87,6 +87,43 @@ struct VerifyStats {
   // solving. Zero unless DecomposedConfig::decision_cache is set.
   uint64_t decision_cache_hits = 0;
   uint64_t refine_cache_hits = 0;
+
+  // Field-wise sum: how per-worker blocks merge into one call's totals. A
+  // new counter must be added here too, or it merges as 0.
+  VerifyStats& operator+=(const VerifyStats& o) {
+    elements_summarized += o.elements_summarized;
+    summary_cache_hits += o.summary_cache_hits;
+    segments_total += o.segments_total;
+    suspects_found += o.suspects_found;
+    suspects_eliminated += o.suspects_eliminated;
+    composed_paths_checked += o.composed_paths_checked;
+    solver_queries += o.solver_queries;
+    instructions_interpreted += o.instructions_interpreted;
+    forks += o.forks;
+    refinements_attempted += o.refinements_attempted;
+    refinements_certified += o.refinements_certified;
+    refinements_eliminated += o.refinements_eliminated;
+    sat_conflicts += o.sat_conflicts;
+    sat_decisions += o.sat_decisions;
+    blast_nodes += o.blast_nodes;
+    solver_cache_hits += o.solver_cache_hits;
+    contexts_opened += o.contexts_opened;
+    incremental_queries += o.incremental_queries;
+    assumption_reuses += o.assumption_reuses;
+    learnt_retained += o.learnt_retained;
+    sat_solves += o.sat_solves;
+    rewrites_applied += o.rewrites_applied;
+    rewrite_decided += o.rewrite_decided;
+    slice_decided += o.slice_decided;
+    cex_cache_hits += o.cex_cache_hits;
+    core_discharges += o.core_discharges;
+    suspects_core_discharged += o.suspects_core_discharged;
+    learnt_gc_runs += o.learnt_gc_runs;
+    learnt_gc_removed += o.learnt_gc_removed;
+    decision_cache_hits += o.decision_cache_hits;
+    refine_cache_hits += o.refine_cache_hits;
+    return *this;
+  }
 };
 
 struct CrashFreedomReport {

@@ -7,12 +7,15 @@
 
 #include <atomic>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "elements/registry.hpp"
 #include "net/headers.hpp"
+#include "obs/trace.hpp"
 #include "symbex/summary.hpp"
 #include "verify/decomposed.hpp"
 #include "verify/parallel.hpp"
@@ -72,6 +75,79 @@ TEST(WorkQueue, PropagatesTaskExceptions) {
   q.submit([&](size_t) { ++ran; });
   q.wait_idle();
   EXPECT_EQ(ran.load(), 1);
+}
+
+// --- WorkQueue(1): the inline queue every jobs=1 run uses ----------------------------
+
+TEST(InlineWorkQueue, RunsOnTheCallingThreadAsWorkerZero) {
+  WorkQueue q(1);
+  EXPECT_EQ(q.jobs(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  bool ran = false;
+  q.submit([&](size_t worker) {
+    EXPECT_EQ(worker, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ran = true;
+  });
+  EXPECT_TRUE(ran);  // finished before submit() returned
+  q.wait_idle();
+}
+
+TEST(InlineWorkQueue, NestedSubmitsRunDepthFirstInSubmissionOrder) {
+  WorkQueue q(1);
+  std::vector<std::string> order;
+  q.submit([&](size_t) {
+    order.push_back("a");
+    q.submit([&](size_t) {
+      order.push_back("a.1");
+      q.submit([&](size_t) { order.push_back("a.1.x"); });
+    });
+    q.submit([&](size_t) { order.push_back("a.2"); });
+  });
+  q.submit([&](size_t) { order.push_back("b"); });
+  q.wait_idle();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"a", "a.1", "a.1.x", "a.2", "b"}));
+}
+
+TEST(InlineWorkQueue, PropagatesTaskExceptions) {
+  WorkQueue q(1);
+  q.submit([](size_t) { throw std::runtime_error("boom"); });
+  EXPECT_THROW(q.wait_idle(), std::runtime_error);
+  int ran = 0;
+  q.submit([&](size_t) { ++ran; });
+  q.wait_idle();
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(InlineWorkQueue, ParallelForVisitsIndicesInOrder) {
+  WorkQueue q(1);
+  std::vector<size_t> seen;
+  parallel_for(q, 5, [&](size_t i, size_t worker) {
+    EXPECT_EQ(worker, 0u);
+    seen.push_back(i);
+  });
+  EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(InlineWorkQueue, RecordsNoTaskSpan) {
+  // A traced jobs=1 run keeps the span tree of a plain recursive walk:
+  // everything on the caller's lane, no `task` envelopes.
+  obs::reset();
+  obs::enable(true);
+  {
+    WorkQueue q(1);
+    q.submit([&](size_t) {
+      q.submit([](size_t) { obs::ScopedSpan sp(obs::Cat::Solve, "inner"); });
+    });
+    q.wait_idle();
+  }
+  const std::vector<obs::SpanEvent> events = obs::events_snapshot();
+  obs::enable(false);
+  obs::reset();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].cat, obs::Cat::Solve);
+  EXPECT_EQ(events[0].lane, 0u);
 }
 
 // --- SharedSummaryCache --------------------------------------------------------------

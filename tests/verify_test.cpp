@@ -529,6 +529,32 @@ TEST(Refinement, TrapBehindSummarizedLoopIsCertifiedReplayable) {
                          r8.counterexamples.front().packet.bytes().end()));
 }
 
+TEST(Config, PathBudgetStopsTheWalkAtAnyJobCount) {
+  // Once the composed-path budget is exhausted the walk must stop at once:
+  // no further sibling subtree is expanded and no further terminal
+  // counted, so at jobs=1 exactly one path beyond the budget is seen.
+  const char* config =
+      "CheckIPHeader(nochecksum) -> DecIPTTL -> IPOptions -> SetIPChecksum "
+      "-> IPOptions -> DecIPTTL";
+  for (const uint64_t budget : {uint64_t{10}, uint64_t{100}}) {
+    for (const size_t jobs : {size_t{1}, size_t{4}}) {
+      pipeline::Pipeline pl = elements::parse_pipeline(config);
+      DecomposedConfig cfg;
+      cfg.packet_len = 46;
+      cfg.max_composed_paths = budget;
+      cfg.jobs = jobs;
+      DecomposedVerifier v(cfg);
+      const InstructionBoundReport r = v.verify_instruction_bound(pl);
+      EXPECT_EQ(r.verdict, Verdict::Unknown)
+          << "budget=" << budget << " jobs=" << jobs;
+      if (jobs == 1) {
+        EXPECT_EQ(r.stats.composed_paths_checked, budget + 1)
+            << "budget=" << budget;
+      }
+    }
+  }
+}
+
 TEST(Config, EmptyishPipelineSingleElement) {
   pipeline::Pipeline pl;
   pl.add("null", elements::make_element("Null", ""));
