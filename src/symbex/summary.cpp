@@ -19,10 +19,11 @@ ElementSummary summarize_element(const ir::Program& program, size_t packet_len,
 }
 
 const ElementSummary& SharedSummaryCache::get(const ir::Program& program,
+                                              uint64_t program_hash,
                                               size_t packet_len,
                                               Executor& executor,
                                               bool* was_miss) {
-  const Key key{ir::program_hash(program), packet_len};
+  const Key key{program_hash, packet_len};
   std::shared_ptr<Entry> entry;
   bool owner = false;
   {

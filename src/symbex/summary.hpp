@@ -84,7 +84,16 @@ class SharedSummaryCache {
   // `was_miss`, when given, reports whether THIS call computed the summary
   // (unlike comparing misses() before/after, it is race-free).
   const ElementSummary& get(const ir::Program& program, size_t packet_len,
-                            Executor& executor, bool* was_miss = nullptr);
+                            Executor& executor, bool* was_miss = nullptr) {
+    return get(program, ir::program_hash(program), packet_len, executor,
+               was_miss);
+  }
+  // The same lookup with `program_hash` == ir::program_hash(program)
+  // precomputed: a caller that looks one program up many times hashes it
+  // once.
+  const ElementSummary& get(const ir::Program& program, uint64_t program_hash,
+                            size_t packet_len, Executor& executor,
+                            bool* was_miss = nullptr);
 
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }

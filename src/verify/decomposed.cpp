@@ -162,18 +162,22 @@ class DecomposedVerifier::Impl {
                       // the composed constraints partition the input space
   };
 
-  // `sv`/`vstats` are the calling worker's solver instance and stats block.
-  // Elements are summarized lazily, on first visit, through the
-  // thread-safe cache: concurrent requests for one key compute it once.
-  const ElementSummary& summary_for(const ir::Program& prog, size_t len,
-                                    Precision precision, solver::Solver& sv,
-                                    VerifyStats& vstats) {
+  // Summary of pipeline element `elem` at entry length `len`. `sv`/`vstats`
+  // are the calling worker's solver instance and stats block. Elements are
+  // summarized lazily, on first visit, through the thread-safe cache:
+  // concurrent requests for one key compute it once.
+  const ElementSummary& summary_for(const pipeline::Pipeline& pl, size_t elem,
+                                    size_t len, Precision precision,
+                                    solver::Solver& sv, VerifyStats& vstats) {
+    const ir::Program& prog = pl.element(elem).model_program();
+    const uint64_t hash = prog_hash_[elem];
     if (cfg.loop_mode == symbex::LoopMode::Unroll) {
-      return get_summary(cache_unroll(), symbex::LoopMode::Unroll, prog, len,
-                         sv, vstats);
+      return get_summary(cache_unroll(), symbex::LoopMode::Unroll, prog, hash,
+                         len, sv, vstats);
     }
-    const ElementSummary& s = get_summary(
-        cache_summarize(), symbex::LoopMode::Summarize, prog, len, sv, vstats);
+    const ElementSummary& s =
+        get_summary(cache_summarize(), symbex::LoopMode::Summarize, prog, hash,
+                    len, sv, vstats);
     // Any remaining trap suspect in a summarized element gets the exact
     // (unrolled) treatment before we conclude anything — regardless of
     // property, because trap constraints may be loop-over-approximated.
@@ -192,16 +196,17 @@ class DecomposedVerifier::Impl {
         (precision == Precision::ExactDropsTraps && has_lossy_drop) ||
         (precision == Precision::ExactAll && has_any_bound);
     if (cfg.unroll_fallback && need_unroll) {
-      return get_summary(cache_unroll(), symbex::LoopMode::Unroll, prog, len,
-                         sv, vstats);
+      return get_summary(cache_unroll(), symbex::LoopMode::Unroll, prog, hash,
+                         len, sv, vstats);
     }
     return s;
   }
 
   const ElementSummary& get_summary(symbex::SharedSummaryCache& cache,
                                     symbex::LoopMode mode,
-                                    const ir::Program& prog, size_t len,
-                                    solver::Solver& sv, VerifyStats& vstats) {
+                                    const ir::Program& prog, uint64_t hash,
+                                    size_t len, solver::Solver& sv,
+                                    VerifyStats& vstats) {
     symbex::ExecOptions eo;
     eo.loop_mode = mode;
     // Summarize mode relies on folding + intervals (cheap, and the loop
@@ -214,7 +219,7 @@ class DecomposedVerifier::Impl {
     symbex::Executor exec(eo);
     bool was_miss = false;
     obs::ScopedSpan sp(obs::Cat::Summarize, "summarize");
-    const ElementSummary& s = cache.get(prog, len, exec, &was_miss);
+    const ElementSummary& s = cache.get(prog, hash, len, exec, &was_miss);
     if (sp) {
       if (!was_miss) {
         sp.cancel();  // a cache hit is not summarization work
@@ -251,29 +256,30 @@ class DecomposedVerifier::Impl {
     symbex::KvReadRecord rec;
   };
 
-  struct ComposeState {
+  // An element's input packet: byte and metadata expressions. States are
+  // hash-consed per call (intern_state), so one address stands for one
+  // content and the stitch memo can key on it.
+  struct PacketState {
     std::vector<ExprRef> bytes;
     std::array<ExprRef, net::kMetaSlots> meta;
-    ExprRef constraint = bv::mk_bool(true);
+  };
+  using StateRef = std::shared_ptr<const PacketState>;
+
+  struct ComposeState {
+    StateRef pkt;  // the next element's input; null once the path ends
+    ExprRef constraint;
     uint64_t count = 0;
     bool count_is_bound = false;
-    std::vector<PathKvRead> kv_reads;  // renamed per instantiation
+    std::vector<PathKvRead> kv_reads;  // renamed per stitch-memo entry
     std::vector<size_t> elem_trace;    // pipeline element indices
-  };
-
-  struct Instantiated {
-    ExprRef constraint;  // composed (entry-rooted) constraint
-    std::vector<ExprRef> out_bytes;
-    std::array<ExprRef, net::kMetaSlots> out_meta;
-    std::vector<symbex::KvReadRecord> kv_reads;
-    std::vector<symbex::KvWriteRecord> kv_writes;  // only when requested
   };
 
   // Variables of a segment that are not the element's declared inputs:
   // KV-read symbols, havoc symbols, table-model symbols. They must be
-  // renamed per pipeline instantiation (two instances of the same element
-  // type have distinct private state). Thread-safe: parallel workers hit
-  // the same segments while walking disjoint subtrees.
+  // renamed per element instance (two instances of the same element type
+  // have distinct private state); the stitch memo renames them once per
+  // entry. Thread-safe: parallel workers hit the same segments while
+  // walking disjoint subtrees.
   const std::vector<ExprRef>& aux_vars(const ElementSummary& sum,
                                        const Segment& g) {
     {
@@ -309,52 +315,159 @@ class DecomposedVerifier::Impl {
     return aux_cache_.emplace(&g, std::move(aux)).first->second;
   }
 
-  // Rebases segment `g` of `sum` onto the given element-input expressions.
-  // Returns nullopt when the stitched constraint folds to false.
-  std::optional<Instantiated> instantiate(const ElementSummary& sum,
-                                          const Segment& g,
-                                          const ComposeState& st,
-                                          bool need_outputs,
-                                          bool need_writes = false) {
+  // The stitch memo. One entry is segment `g` of element instance `elem`
+  // rebased onto one input state: the substitution runs, and the segment's
+  // aux variables are renamed fresh, once per entry rather than once per
+  // composed path reaching it. Sound because the key holds the element
+  // instance: a pipeline is a DAG, so on any one path every instance still
+  // has its own aux variables, and each path's stitched constraint equals
+  // a per-path instantiation up to variable renaming. Whether the segment
+  // continues downstream depends only on the element and segment, so it
+  // needs no key bit. Shared by every worker (first inserted entry wins)
+  // and cleared per call. Entries keep only the results, never the
+  // substitution.
+  struct StitchKey {
+    size_t elem = 0;
+    const Segment* seg = nullptr;
+    const PacketState* in = nullptr;
+    bool writes = false;
+    bool operator==(const StitchKey&) const = default;
+  };
+  struct StitchKeyHash {
+    size_t operator()(const StitchKey& k) const {
+      uint64_t h = reinterpret_cast<uintptr_t>(k.seg);
+      h ^= reinterpret_cast<uintptr_t>(k.in) * 0x9e3779b97f4a7c15ull;
+      h ^= (k.elem * 2 + (k.writes ? 1 : 0)) * 0xc2b2ae3d27d4eb4full;
+      return static_cast<size_t>(h ^ (h >> 29));
+    }
+  };
+  struct Stitched {
+    ExprRef constraint;  // the segment constraint over the entry packet
+    std::vector<symbex::KvReadRecord> kv_reads;
+    std::vector<symbex::KvWriteRecord> kv_writes;  // only when requested
+    StateRef out;  // set when the segment continues and is not false
+  };
+  struct StateHash {
+    size_t operator()(const StateRef& s) const {
+      size_t h = s->bytes.size();
+      for (const ExprRef& b : s->bytes) h = h * 31 + b->uid();
+      for (const ExprRef& m : s->meta) h = h * 31 + m->uid();
+      return h;
+    }
+  };
+  struct StateEq {
+    bool operator()(const StateRef& a, const StateRef& b) const {
+      return a->bytes == b->bytes && a->meta == b->meta;
+    }
+  };
+  std::mutex stitch_mu_;
+  std::unordered_map<StitchKey, Stitched, StitchKeyHash> stitch_memo_;
+  std::unordered_set<StateRef, StateHash, StateEq> states_;
+
+  // The canonical state with this content. Caller holds stitch_mu_.
+  StateRef intern_state_locked(PacketState st) {
+    return *states_.insert(std::make_shared<const PacketState>(std::move(st)))
+                .first;
+  }
+
+  StateRef intern_state(PacketState st) {
+    std::lock_guard<std::mutex> lock(stitch_mu_);
+    return intern_state_locked(std::move(st));
+  }
+
+  const Stitched& stitched(size_t elem, const ElementSummary& sum,
+                           const Segment& g, const PacketState& in,
+                           bool continues, bool writes) {
+    const StitchKey key{elem, &g, &in, writes};
+    {
+      std::lock_guard<std::mutex> lock(stitch_mu_);
+      const auto it = stitch_memo_.find(key);
+      if (it != stitch_memo_.end()) {
+        obs::count("verify.stitch_memo_hits");
+        return it->second;
+      }
+    }
+    obs::count("verify.stitch_memo_misses");
     bv::Substitution sub;
     const auto& in_vars = sum.entry.input_byte_vars();
-    for (size_t i = 0; i < in_vars.size() && i < st.bytes.size(); ++i) {
-      sub.emplace(in_vars[i]->var_id(), st.bytes[i]);
+    for (size_t i = 0; i < in_vars.size() && i < in.bytes.size(); ++i) {
+      sub.emplace(in_vars[i]->var_id(), in.bytes[i]);
     }
     const auto& meta_vars = sum.entry.input_meta_vars();
     for (size_t i = 0; i < meta_vars.size(); ++i) {
-      sub.emplace(meta_vars[i]->var_id(), st.meta[i]);
+      sub.emplace(meta_vars[i]->var_id(), in.meta[i]);
     }
     for (const ExprRef& a : aux_vars(sum, g)) {
       sub.emplace(a->var_id(), bv::mk_var(a->name(), a->width()));
     }
-    Instantiated out;
-    const ExprRef c = bv::substitute(g.constraint, sub);
-    out.constraint = bv::mk_land(st.constraint, c);
-    if (out.constraint->is_false()) return std::nullopt;
-    for (const auto& r : g.kv_reads) {
-      out.kv_reads.push_back(symbex::KvReadRecord{
-          r.table, bv::substitute(r.key, sub), bv::substitute(r.value, sub)});
-    }
-    if (need_writes) {
-      for (const auto& w : g.kv_writes) {
-        out.kv_writes.push_back(symbex::KvWriteRecord{
-            w.table, bv::substitute(w.key, sub),
-            bv::substitute(w.value, sub)});
+    Stitched s;
+    PacketState out;
+    s.constraint = bv::substitute(g.constraint, sub);
+    const bool feasible = !s.constraint->is_false();
+    if (feasible) {
+      for (const auto& r : g.kv_reads) {
+        s.kv_reads.push_back(symbex::KvReadRecord{
+            r.table, bv::substitute(r.key, sub), bv::substitute(r.value, sub)});
+      }
+      if (writes) {
+        for (const auto& w : g.kv_writes) {
+          s.kv_writes.push_back(symbex::KvWriteRecord{
+              w.table, bv::substitute(w.key, sub),
+              bv::substitute(w.value, sub)});
+        }
       }
     }
-    if (need_outputs) {
-      out.out_bytes.reserve(g.exit_packet.size());
+    if (feasible && continues) {
+      out.bytes.reserve(g.exit_packet.size());
       for (const ExprRef& b : g.exit_packet.bytes()) {
-        out.out_bytes.push_back(bv::substitute(b, sub));
+        out.bytes.push_back(bv::substitute(b, sub));
       }
       for (size_t i = 0; i < net::kMetaSlots; ++i) {
-        out.out_meta[i] = g.exit_packet.meta(i)
-                              ? bv::substitute(g.exit_packet.meta(i), sub)
-                              : bv::mk_const(0, 32);
+        out.meta[i] = g.exit_packet.meta(i)
+                          ? bv::substitute(g.exit_packet.meta(i), sub)
+                          : bv::mk_const(0, 32);
       }
     }
-    return out;
+    std::lock_guard<std::mutex> lock(stitch_mu_);
+    const auto [it, inserted] = stitch_memo_.try_emplace(key);
+    if (inserted) {
+      if (feasible && continues) s.out = intern_state_locked(std::move(out));
+      it->second = std::move(s);
+    }
+    return it->second;
+  }
+
+  // Stitches segment `g` of element instance `elem` onto the path state
+  // `st`. Returns nullptr when the stitched path constraint folds to
+  // false; otherwise the memo entry, with *constraint = st.constraint ∧
+  // the entry's constraint — the only per-path work left.
+  const Stitched* instantiate(size_t elem, const ElementSummary& sum,
+                              const Segment& g, const ComposeState& st,
+                              bool continues, bool writes,
+                              ExprRef* constraint) {
+    const Stitched& s = stitched(elem, sum, g, *st.pkt, continues, writes);
+    if (s.constraint->is_false()) return nullptr;
+    *constraint = bv::mk_land(st.constraint, s.constraint);
+    if ((*constraint)->is_false()) return nullptr;
+    return &s;
+  }
+
+  // The path state after a stitched segment: constraint, trace and KV
+  // reads extended; the packet is the segment's output when it continues.
+  static ComposeState next_state(const ComposeState& st, const Stitched& s,
+                                 ExprRef constraint, size_t elem) {
+    ComposeState next;
+    next.pkt = s.out;
+    next.constraint = std::move(constraint);
+    next.count = st.count;
+    next.count_is_bound = st.count_is_bound;
+    next.kv_reads = st.kv_reads;
+    for (const auto& r : s.kv_reads) {
+      next.kv_reads.push_back(PathKvRead{elem, st.pkt->bytes.size(), r});
+    }
+    next.elem_trace = st.elem_trace;
+    next.elem_trace.push_back(elem);
+    return next;
   }
 
   // Expands one feasible segment onto the running compose state: stitches
@@ -371,25 +484,15 @@ class DecomposedVerifier::Impl {
                                              std::optional<size_t> down,
                                              VerifyStats& vstats) {
     const bool continues = g.action == SegAction::Emit && down.has_value();
-    auto inst = instantiate(sum, g, st, continues);
-    if (!inst) {
+    ExprRef c;
+    const Stitched* s = instantiate(elem, sum, g, st, continues, false, &c);
+    if (s == nullptr) {
       if (g.action == SegAction::Trap) ++vstats.suspects_eliminated;
       return std::nullopt;
     }
-    ComposeState next;
-    next.constraint = inst->constraint;
-    next.count = st.count + g.instr_count;
-    next.count_is_bound = st.count_is_bound || g.count_is_bound;
-    next.kv_reads = st.kv_reads;
-    for (const auto& r : inst->kv_reads) {
-      next.kv_reads.push_back(PathKvRead{elem, st.bytes.size(), r});
-    }
-    next.elem_trace = st.elem_trace;
-    next.elem_trace.push_back(elem);
-    if (continues) {
-      next.bytes = std::move(inst->out_bytes);
-      next.meta = inst->out_meta;
-    }
+    ComposeState next = next_state(st, *s, std::move(c), elem);
+    next.count += g.instr_count;
+    next.count_is_bound = next.count_is_bound || g.count_is_bound;
     return next;
   }
 
@@ -455,9 +558,8 @@ class DecomposedVerifier::Impl {
                  Precision precision) {
     if (stopped() || !should_visit(elem)) return;
     VerifyStats& ws = wstats_[worker];
-    const ElementSummary& sum =
-        summary_for(pl.element(elem).model_program(), st.bytes.size(), precision,
-                    pool.at(worker), ws);
+    const ElementSummary& sum = summary_for(pl, elem, st.pkt->bytes.size(),
+                                            precision, pool.at(worker), ws);
     if (sum.truncated) {
       truncated_ = true;
       return;
@@ -489,11 +591,17 @@ class DecomposedVerifier::Impl {
 
   void begin_call(const pipeline::Pipeline& pl) {
     wstats_.assign(jobs, VerifyStats{});
+    prog_hash_.resize(pl.size());
+    for (size_t e = 0; e < pl.size(); ++e) {
+      prog_hash_[e] = ir::program_hash(pl.element(e).model_program());
+    }
     begin_cache_context(pl);
     paths_checked_.store(0, std::memory_order_relaxed);
     truncated_ = false;
     budget_exhausted_ = false;
     refine_cache_.clear();
+    stitch_memo_.clear();
+    states_.clear();
     state_writes_memo_.clear();
     pool.reset_stats();
     // One live incremental context per solver per top-level call: reuse
@@ -550,7 +658,7 @@ class DecomposedVerifier::Impl {
     for (size_t e = 0; e < pl.size(); ++e) {
       cache::Fingerprint ef;
       const ir::Program& prog = pl.element(e).model_program();
-      ef.mix(ir::program_hash(prog));
+      ef.mix(prog_hash_[e]);
       for (uint32_t p = 0; p < prog.num_output_ports; ++p) {
         const auto down = pl.downstream(e, p);
         ef.mix(down ? static_cast<uint64_t>(*down) : ~0ull);
@@ -688,8 +796,7 @@ class DecomposedVerifier::Impl {
                                 VerifyStats& vstats) {
     const symbex::KvReadRecord& read = pr.rec;
     const ElementSummary& sum =
-        summary_for(pl.element(pr.elem).model_program(), pr.len,
-                    Precision::AcceptBounds, sv, vstats);
+        summary_for(pl, pr.elem, pr.len, Precision::AcceptBounds, sv, vstats);
     ExprRef any = bv::mk_eq(read.value,
                             bv::mk_const(0, read.value->width()));
     for (const Segment& g : sum.segments) {
@@ -826,7 +933,8 @@ class DecomposedVerifier::Impl {
     return cfg.shared_caches ? cfg.shared_caches->refine : own_caches_.refine;
   }
 
-  const ElementSummary& refine_summary(const ir::Program& prog, size_t len,
+  const ElementSummary& refine_summary(const pipeline::Pipeline& pl,
+                                       size_t elem, size_t len,
                                        solver::Solver& sv,
                                        VerifyStats& vstats) {
     symbex::ExecOptions eo;
@@ -840,7 +948,9 @@ class DecomposedVerifier::Impl {
     eo.max_solver_checks = cfg.refine_max_solver_checks;
     symbex::Executor exec(eo);
     bool was_miss = false;
-    const ElementSummary& s = cache_refine_mem().get(prog, len, exec, &was_miss);
+    const ElementSummary& s =
+        cache_refine_mem().get(pl.element(elem).model_program(),
+                               prog_hash_[elem], len, exec, &was_miss);
     if (was_miss) {
       ++vstats.elements_summarized;
       vstats.segments_total += s.segments.size();
@@ -881,8 +991,8 @@ class DecomposedVerifier::Impl {
         [&](size_t depth, ComposeState st) {
           if (out.res == solver::Result::Sat || gave_up) return;
           const size_t elem = trace[depth];
-          const ElementSummary& sum = refine_summary(
-              pl.element(elem).model_program(), st.bytes.size(), sv, vstats);
+          const ElementSummary& sum =
+              refine_summary(pl, elem, st.pkt->bytes.size(), sv, vstats);
           if (sum.truncated) {
             gave_up = true;
             return;
@@ -1052,8 +1162,8 @@ class DecomposedVerifier::Impl {
                            std::vector<PathInsertSite>* out) {
     if (!filter[elem] || stopped()) return;
     const ElementSummary& sum =
-        summary_for(pl.element(elem).model_program(), st.bytes.size(),
-                    Precision::AcceptBounds, main_solver(), main_stats());
+        summary_for(pl, elem, st.pkt->bytes.size(), Precision::AcceptBounds,
+                    main_solver(), main_stats());
     if (sum.truncated) {
       truncated_ = true;
       return;
@@ -1063,7 +1173,7 @@ class DecomposedVerifier::Impl {
     const symbex::StateSummary* ss = nullptr;
     if (counted[elem]) {
       const symbex::StateSummary& s =
-          element_state_at(pl, elem, st.bytes.size(), sum);
+          element_state_at(pl, elem, st.pkt->bytes.size(), sum);
       if (s.insert_site_count() > 0) ss = &s;
     }
     for (size_t si = 0; si < sum.segments.size(); ++si) {
@@ -1074,16 +1184,11 @@ class DecomposedVerifier::Impl {
           is_emit ? pl.downstream(elem, g.port) : std::nullopt;
       const bool continues = is_emit && down.has_value();
       if (!continues && ss == nullptr) continue;
-      auto inst = instantiate(sum, g, st, continues, ss != nullptr);
-      if (!inst) continue;
-      ComposeState next;
-      next.constraint = inst->constraint;
-      next.kv_reads = st.kv_reads;
-      for (const auto& r : inst->kv_reads) {
-        next.kv_reads.push_back(PathKvRead{elem, st.bytes.size(), r});
-      }
-      next.elem_trace = st.elem_trace;
-      next.elem_trace.push_back(elem);
+      ExprRef c;
+      const Stitched* inst =
+          instantiate(elem, sum, g, st, continues, ss != nullptr, &c);
+      if (inst == nullptr) continue;
+      ComposeState next = next_state(st, *inst, c, elem);
       if (ss != nullptr) {
         for (const symbex::TableStateSummary& ts : ss->tables) {
           for (const symbex::StateSite& site_in : ts.inserts) {
@@ -1097,8 +1202,7 @@ class DecomposedVerifier::Impl {
             // choose genuinely-live insertions, so certification replay
             // counts exactly what enumeration counted.
             const ExprRef live = bv::mk_land(
-                inst->constraint,
-                bv::mk_ne(wr.value, bv::mk_const(0, wr.value->width())));
+                c, bv::mk_ne(wr.value, bv::mk_const(0, wr.value->width())));
             if (live->is_false()) continue;
             PathInsertSite site;
             site.elem = elem;
@@ -1112,8 +1216,6 @@ class DecomposedVerifier::Impl {
       }
       if (continues) {
         if (!count_path()) return;
-        next.bytes = std::move(inst->out_bytes);
-        next.meta = inst->out_meta;
         collect_state_sites(pl, *down, std::move(next), counted, filter,
                             out);
       }
@@ -1319,9 +1421,8 @@ class DecomposedVerifier::Impl {
     while (!work.empty()) {
       const auto [e, len] = work.back();
       work.pop_back();
-      const ElementSummary& sum =
-          summary_for(pl.element(e).model_program(), len,
-                      Precision::AcceptBounds, main_solver(), main_stats());
+      const ElementSummary& sum = summary_for(
+          pl, e, len, Precision::AcceptBounds, main_solver(), main_stats());
       if (sum.truncated) {
         *any_truncated = true;
         continue;
@@ -1378,10 +1479,10 @@ class DecomposedVerifier::Impl {
     return ce;
   }
 
-  static ComposeState root_state(const SymPacket& entry) {
+  ComposeState root_state(const SymPacket& entry) {
     ComposeState root;
-    root.bytes = entry.bytes();
-    for (size_t i = 0; i < net::kMetaSlots; ++i) root.meta[i] = entry.meta(i);
+    root.pkt = intern_state(PacketState{entry.bytes(), entry.meta()});
+    root.constraint = bv::mk_bool(true);
     return root;
   }
 
@@ -1506,9 +1607,8 @@ class DecomposedVerifier::Impl {
         reachable_entry_lengths(pl, &any_truncated);
     for (size_t e = 0; e < pl.size(); ++e) {
       for (const size_t len : lens[e]) {
-        const ElementSummary& sum =
-            summary_for(pl.element(e).model_program(), len,
-                        Precision::AcceptBounds, main_solver(), main_stats());
+        const ElementSummary& sum = summary_for(
+            pl, e, len, Precision::AcceptBounds, main_solver(), main_stats());
         if (sum.truncated) any_truncated = true;
         for (const Segment& g : sum.segments) {
           if (g.action != SegAction::Trap) continue;
@@ -1559,9 +1659,11 @@ class DecomposedVerifier::Impl {
     // memory is O(paths): per terminal just the DFS address plus refs into
     // the (immortal, interned) constraint DAG, which dominates. On the
     // depth-14 `deep` chain (525,050 composed paths over its three
-    // assertions) peak RSS at jobs=1 is 549 MB, against 547 MB for a scan
-    // that decides each terminal as the walk reaches it. Revisit with
-    // streamed batches if budgets grow.
+    // assertions) peak RSS at jobs=1 is 298 MB (`vsd_e2e --cliff`). The
+    // buffer's own share is small: it measured 549 MB against 547 MB for a
+    // scan that decides each terminal as the walk reaches it, before the
+    // stitch memo halved the DAG. Revisit with streamed batches if budgets
+    // grow.
     struct Rec {
       std::vector<uint32_t> order;
       uint64_t total = 0;
@@ -1766,6 +1868,9 @@ class DecomposedVerifier::Impl {
 
   std::unordered_map<const Segment*, std::vector<ExprRef>> aux_cache_;
   std::mutex aux_mu_;
+  // ir::program_hash of every element's model program, computed once per
+  // call in begin_call; read-only while workers run.
+  std::vector<uint64_t> prog_hash_;
 
   // Per-call walk state, shared by every worker.
   std::atomic<uint64_t> paths_checked_{0};

@@ -10,8 +10,8 @@
 //
 // Each task receives its worker index so callers can hand every worker its
 // own solver instance and stats block; nothing in the engine shares mutable
-// state across workers except the summary cache (itself thread-safe) and
-// the interned expression pool.
+// state across workers except the summary cache, the verifier's stitch memo
+// (both thread-safe) and the interned expression pool.
 //
 // One worker means no thread at all: submit() runs the task inline on the
 // calling thread as worker 0, so nested submissions run depth-first in

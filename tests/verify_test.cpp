@@ -1,7 +1,13 @@
 // End-to-end verification tests: the paper's worked example (Fig. 2), crash
 // freedom of the Click IP-router pipelines, instruction bounds with witness
-// packets, reachability, stateful bad-value analysis, and the certifier.
+// packets, reachability, stateful bad-value analysis, the stitch memo, and
+// the certifier.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "elements/l2.hpp"
 #include "elements/registry.hpp"
@@ -9,6 +15,7 @@
 #include "elements/toy.hpp"
 #include "interp/interp.hpp"
 #include "net/headers.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/pipeline.hpp"
 #include "verify/certify.hpp"
 #include "verify/decomposed.hpp"
@@ -527,6 +534,74 @@ TEST(Refinement, TrapBehindSummarizedLoopIsCertifiedReplayable) {
   EXPECT_TRUE(std::equal(ce.packet.bytes().begin(), ce.packet.bytes().end(),
                          r8.counterexamples.front().packet.bytes().begin(),
                          r8.counterexamples.front().packet.bytes().end()));
+}
+
+// --- Stitch memo ------------------------------------------------------------------
+
+TEST(StitchMemo, PrivateStateStaysPerElementInstance) {
+  // RateLimiter does not rewrite the packet, so both instances are stitched
+  // onto the same input state. The memo must still give each instance its
+  // own KV-read variables (tables are element-private): a key without the
+  // element instance would share them between the two limiters and change
+  // the counterexamples pinned here.
+  const char* config =
+      "CheckIPHeader(nochecksum) -> RateLimiter(4, 16) -> RateLimiter(4, 16)";
+  const std::vector<std::string> path = {"CheckIPHeader", "RateLimiter",
+                                         "RateLimiter"};
+  for (const size_t jobs : {size_t{1}, size_t{8}}) {
+    pipeline::Pipeline pl = elements::parse_pipeline(config);
+    DecomposedConfig cfg;
+    cfg.packet_len = 48;
+    cfg.jobs = jobs;
+    DecomposedVerifier v(cfg);
+    TerminalSpec reach0;  // reachable(output 0)
+    reach0.required_exit_port = 0;
+    const ReachabilityReport r = v.verify_reach_never(
+        pl, [](const symbex::SymPacket& p) { return wellformed_ipv4_at(p, 0); },
+        reach0);
+    ASSERT_EQ(r.verdict, Verdict::Violated) << "jobs=" << jobs;
+    ASSERT_EQ(r.counterexamples.size(), 2u) << "jobs=" << jobs;
+    const uint8_t flags_byte[2] = {0x20, 0x80};
+    for (size_t i = 0; i < 2; ++i) {
+      const Counterexample& ce = r.counterexamples[i];
+      EXPECT_EQ(ce.element_path, path) << "jobs=" << jobs << " ce " << i;
+      EXPECT_TRUE(ce.requires_sequence) << "jobs=" << jobs << " ce " << i;
+      std::vector<uint8_t> want(48, 0);
+      want[0] = 0x45;
+      want[3] = 0x18;  // total length 24
+      want[8] = flags_byte[i];
+      std::string got;
+      for (const uint8_t b : ce.packet.bytes()) {
+        got += "0123456789abcdef"[b >> 4];
+        got += "0123456789abcdef"[b & 15];
+      }
+      EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                             ce.packet.bytes().begin(),
+                             ce.packet.bytes().end()))
+          << "jobs=" << jobs << " ce " << i << " packet " << got;
+    }
+  }
+}
+
+TEST(StitchMemo, DeepChainReusesStitchedSegments) {
+  // Paths through the branch-rich depth-7 chain reach element instances
+  // with input states other paths already stitched.
+  pipeline::Pipeline pl = elements::parse_pipeline(
+      "CheckIPHeader(nochecksum) -> DecIPTTL -> IPOptions -> SetIPChecksum "
+      "-> IPOptions -> DecIPTTL -> IPOptions");
+  DecomposedConfig cfg;
+  cfg.packet_len = 46;
+  DecomposedVerifier v(cfg);
+  obs::reset();
+  obs::enable(true);
+  const InstructionBoundReport r = v.verify_instruction_bound(pl);
+  obs::enable(false);
+  const std::map<std::string, uint64_t> counters = obs::counters_snapshot();
+  obs::reset();
+  EXPECT_EQ(r.verdict, Verdict::Proven);
+  ASSERT_EQ(counters.count("verify.stitch_memo_hits"), 1u);
+  EXPECT_GT(counters.at("verify.stitch_memo_hits"), 0u);
+  EXPECT_GT(counters.at("verify.stitch_memo_misses"), 0u);
 }
 
 TEST(Config, PathBudgetStopsTheWalkAtAnyJobCount) {
