@@ -15,9 +15,10 @@
 namespace vsd::cache {
 
 // Bump whenever verification semantics change (new engine PR, changed
-// budgets baked into cached decisions, trap-kind numbering, ...): every
-// entry written under another version becomes a miss.
-inline constexpr const char kEngineVersion[] = "vsd-engine-8";
+// budgets baked into cached decisions, trap-kind numbering, ...) or the CNF
+// encoding changes, since entries carry SAT-model bytes: every entry
+// written under another version becomes a miss.
+inline constexpr const char kEngineVersion[] = "vsd-engine-9";
 
 class Store {
  public:

@@ -1,5 +1,7 @@
 #include "solver/bitblast.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace vsd::solver {
@@ -235,15 +237,24 @@ BitBlaster::Bits BitBlaster::blast_uncached(const ExprRef& e) {
     }
     case Kind::Mul:
       return multiply(blast(e->operand(0)), blast(e->operand(1)));
-    case Kind::UDiv: {
-      Bits q, r;
-      divide(blast(e->operand(0)), blast(e->operand(1)), q, r);
-      return q;
-    }
+    case Kind::UDiv:
     case Kind::URem: {
+      const bool quotient = e->kind() == Kind::UDiv;
+      const ExprRef& d = e->operand(1);
+      if (d->kind() == Kind::Const && std::has_single_bit(d->value())) {
+        const unsigned k = static_cast<unsigned>(std::countr_zero(d->value()));
+        const Bits& a = blast(e->operand(0));
+        Bits out(w, false_lit());
+        if (quotient) {
+          std::copy(a.begin() + k, a.end(), out.begin());
+        } else {
+          std::copy(a.begin(), a.begin() + k, out.begin());
+        }
+        return out;
+      }
       Bits q, r;
-      divide(blast(e->operand(0)), blast(e->operand(1)), q, r);
-      return r;
+      divide(blast(e->operand(0)), blast(d), q, r);
+      return quotient ? q : r;
     }
     case Kind::And: {
       const Bits& a = blast(e->operand(0));

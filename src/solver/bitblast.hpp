@@ -2,9 +2,13 @@
 //
 // Every bit-vector expression is lowered to a vector of SAT literals, LSB
 // first. Word-level operators become standard circuits: ripple-carry adders,
-// shift-add multipliers, barrel shifters, and mux trees. The translation is
-// sound and complete for QF_BV, which is the full fragment the symbolic
-// executor emits.
+// shift-add multipliers, barrel shifters, and mux trees. Division by a
+// constant power of two 2^k (udiv/urem) is wiring: the quotient is the
+// dividend's bits shifted down by k and the remainder its low k bits, both
+// zero-filled, with no variable or clause. Every other divisor, including
+// zero, other constants and symbolic ones, goes through the restoring
+// divider. The translation is sound and complete for QF_BV, which is the
+// full fragment the symbolic executor emits.
 #pragma once
 
 #include <unordered_map>
@@ -58,7 +62,9 @@ class BitBlaster {
   Bits ripple_add(const Bits& a, const Bits& b, sat::Lit carry_in);
   Bits negate(const Bits& a);
   Bits multiply(const Bits& a, const Bits& b);
-  // Encodes q = a udiv b, r = a urem b with SMT-LIB zero-divisor semantics.
+  // Encodes q = a udiv b, r = a urem b with SMT-LIB zero-divisor semantics
+  // as a w-step restoring divider. Used for every divisor that is not a
+  // constant power of two; those are wired directly in blast_uncached.
   void divide(const Bits& a, const Bits& b, Bits& q, Bits& r);
   Bits shift(const bv::ExprRef& e, const Bits& a, const Bits& s);
   sat::Lit ult(const Bits& a, const Bits& b);

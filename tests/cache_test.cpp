@@ -167,6 +167,29 @@ TEST_F(CacheTest, EngineVersionBumpInvalidatesEveryPriorEntry) {
   EXPECT_EQ(back, std::vector<uint8_t>{2});
 }
 
+TEST_F(CacheTest, AssertionEntriesOfEngine8MissUnderTheCurrentEngine) {
+  // vsd-engine-9 wires udiv/urem by a constant power of two instead of
+  // blasting a divider, which changes the CNF and so which SAT model a
+  // Violated assertion reports. Its counterexample bytes, cached by the
+  // previous engine, must not be served to the current one.
+  spec::AssertionOutcome o;
+  o.text = "assert flow_occupancy(RateLimiter) <= 2;";
+  o.verdict = verify::Verdict::Violated;
+  verify::Counterexample ce;
+  ce.packet.assign({0x45, 0x00, 0x00, 0x18});
+  ce.element_path = {"CheckIPHeader", "RateLimiter"};
+  ce.requires_sequence = true;
+  o.counterexamples.push_back(ce);
+  o.replays.push_back("requires a packet sequence");
+  VerdictCache(dir_.string(), "vsd-engine-8").store_assertion(0x8, 0x9, o);
+  spec::AssertionOutcome back;
+  ASSERT_TRUE(VerdictCache(dir_.string(), "vsd-engine-8")
+                  .lookup_assertion(0x8, 0x9, &back));
+  VerdictCache current(dir_.string());
+  EXPECT_FALSE(current.lookup_assertion(0x8, 0x9, &back));
+  EXPECT_EQ(current.counters().assertion_misses, 1u);
+}
+
 TEST_F(CacheTest, ConcurrentSameKeyWritersLeaveAValidEntry) {
   // Hammer one key from many threads with two candidate payloads. Atomic
   // tmp+rename means the survivor must be one of them, intact — and the

@@ -3,6 +3,7 @@
 
 #include "bv/analysis.hpp"
 #include "net/workload.hpp"
+#include "solver/bitblast.hpp"
 #include "solver/sat.hpp"
 #include "solver/solver.hpp"
 
@@ -400,6 +401,119 @@ TEST(SatFuzz, AgreesWithBruteForceOnRandomCnf) {
     }
     const sat::SatResult r = early_unsat ? sat::SatResult::Unsat : s.solve();
     ASSERT_EQ(r == sat::SatResult::Sat, brute_sat) << "iter " << iter;
+  }
+}
+
+// --- Bit-blaster: division -------------------------------------------------
+//
+// These drive BitBlaster and SatSolver directly: the Solver's small-domain
+// exhaustion rung decides queries of 10 bits or fewer without blasting.
+
+// Blasts `e`, then solves with every bit of each variable in `fixed` pinned
+// by an assumption and returns the value of `e` in the model.
+uint64_t blasted_value(
+    sat::SatSolver& sat, solver::BitBlaster& bb, const ExprRef& e,
+    const std::vector<std::pair<ExprRef, uint64_t>>& fixed) {
+  bb.blast(e);
+  std::vector<sat::Lit> assumptions;
+  for (const auto& [var, value] : fixed) {
+    const std::vector<sat::Lit>& bits = bb.blast(var);
+    for (size_t i = 0; i < bits.size(); ++i) {
+      assumptions.push_back(((value >> i) & 1) != 0 ? bits[i] : ~bits[i]);
+    }
+  }
+  EXPECT_EQ(sat.solve(assumptions), sat::SatResult::Sat);
+  return bb.model_value(e);
+}
+
+TEST(BitBlastDivision, PowerOfTwoDivisorAddsNoVariableOrClause) {
+  for (const unsigned w : {8u, 16u, 32u, 64u}) {
+    for (unsigned k = 1; k < w; ++k) {
+      sat::SatSolver sat;
+      solver::BitBlaster bb(sat);
+      const ExprRef x = bv::mk_var("x", w);
+      const ExprRef d = bv::mk_const(uint64_t{1} << k, w);
+      bb.blast(x);
+      const int vars = sat.num_vars();
+      const size_t clauses = sat.num_clauses();
+      bb.blast(bv::mk_udiv(x, d));
+      bb.blast(bv::mk_urem(x, d));
+      EXPECT_EQ(sat.num_vars(), vars) << "w=" << w << " k=" << k;
+      EXPECT_EQ(sat.num_clauses(), clauses) << "w=" << w << " k=" << k;
+    }
+  }
+}
+
+TEST(BitBlastDivision, PowerOfTwoDivisorAgreesWithEvaluate) {
+  net::Rng rng(0xd1u);
+  for (const unsigned w : {8u, 16u, 32u, 64u}) {
+    const uint64_t mask = w == 64 ? ~uint64_t{0} : (uint64_t{1} << w) - 1;
+    sat::SatSolver sat;
+    solver::BitBlaster bb(sat);
+    const ExprRef x = bv::mk_var("x", w);
+    for (unsigned k = 1; k < w; ++k) {
+      const uint64_t pow = uint64_t{1} << k;
+      const ExprRef d = bv::mk_const(pow, w);
+      const ExprRef q = bv::mk_udiv(x, d);
+      const ExprRef r = bv::mk_urem(x, d);
+      const uint64_t random = rng.next() & mask;
+      for (const uint64_t xv : {random, uint64_t{0}, uint64_t{1}, pow - 1, pow,
+                                mask}) {
+        const bv::Assignment asn{{x->var_id(), xv}};
+        EXPECT_EQ(blasted_value(sat, bb, q, {{x, xv}}), bv::evaluate(q, asn))
+            << "w=" << w << " k=" << k << " x=" << xv;
+        EXPECT_EQ(blasted_value(sat, bb, r, {{x, xv}}), bv::evaluate(r, asn))
+            << "w=" << w << " k=" << k << " x=" << xv;
+      }
+    }
+  }
+}
+
+TEST(BitBlastDivision, OtherDivisorsKeepTheDividerAndZeroSemantics) {
+  // Divisor 0, a constant that is not a power of two, and a symbolic
+  // divisor all go through the restoring divider at width 64, with SMT-LIB
+  // semantics for a zero divisor: x udiv 0 = all-ones, x urem 0 = x.
+  net::Rng rng(0xd2u);
+  const uint64_t ones = ~uint64_t{0};
+  const ExprRef x = bv::mk_var("x", 64);
+  const ExprRef y = bv::mk_var("y", 64);
+  for (const ExprRef& d : {bv::mk_const(0, 64), bv::mk_const(10, 64), y}) {
+    sat::SatSolver sat;
+    solver::BitBlaster bb(sat);
+    bb.blast(x);
+    bb.blast(d);
+    const int vars = sat.num_vars();
+    const ExprRef q = bv::mk_udiv(x, d);
+    const ExprRef r = bv::mk_urem(x, d);
+    bb.blast(q);
+    bb.blast(r);
+    // A zero divisor folds every gate of the divider to a constant.
+    if (!d->is_const_value(0)) {
+      EXPECT_GT(sat.num_vars(), vars)
+          << "divisor " << (d->is_const() ? std::to_string(d->value()) : "y");
+    }
+    const std::vector<uint64_t> dvs =
+        d->is_const() ? std::vector<uint64_t>{d->value()}
+                      : std::vector<uint64_t>{0, 10, rng.next()};
+    for (const uint64_t dv : dvs) {
+      for (const uint64_t xv : {rng.next(), uint64_t{0}, uint64_t{1},
+                                uint64_t{9}, uint64_t{10}, ones}) {
+        std::vector<std::pair<ExprRef, uint64_t>> fixed{{x, xv}};
+        bv::Assignment asn{{x->var_id(), xv}};
+        if (!d->is_const()) {
+          fixed.emplace_back(y, dv);
+          asn[y->var_id()] = dv;
+        }
+        const uint64_t qv = blasted_value(sat, bb, q, fixed);
+        const uint64_t rv = blasted_value(sat, bb, r, fixed);
+        EXPECT_EQ(qv, bv::evaluate(q, asn)) << "x=" << xv << " d=" << dv;
+        EXPECT_EQ(rv, bv::evaluate(r, asn)) << "x=" << xv << " d=" << dv;
+        if (dv == 0) {
+          EXPECT_EQ(qv, ones) << "x=" << xv;
+          EXPECT_EQ(rv, xv) << "x=" << xv;
+        }
+      }
+    }
   }
 }
 

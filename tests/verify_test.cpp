@@ -543,7 +543,9 @@ TEST(StitchMemo, PrivateStateStaysPerElementInstance) {
   // onto the same input state. The memo must still give each instance its
   // own KV-read variables (tables are element-private): a key without the
   // element instance would share them between the two limiters and change
-  // the counterexamples pinned here.
+  // the counterexamples pinned here. The pinned bytes are the SAT model of
+  // a formula containing `now udiv 16`, so they depend on the CNF encoding
+  // of that division, not only on the memo.
   const char* config =
       "CheckIPHeader(nochecksum) -> RateLimiter(4, 16) -> RateLimiter(4, 16)";
   const std::vector<std::string> path = {"CheckIPHeader", "RateLimiter",
@@ -561,15 +563,15 @@ TEST(StitchMemo, PrivateStateStaysPerElementInstance) {
         reach0);
     ASSERT_EQ(r.verdict, Verdict::Violated) << "jobs=" << jobs;
     ASSERT_EQ(r.counterexamples.size(), 2u) << "jobs=" << jobs;
-    const uint8_t flags_byte[2] = {0x20, 0x80};
+    const uint8_t total_len[2] = {0x24, 0x14};
     for (size_t i = 0; i < 2; ++i) {
       const Counterexample& ce = r.counterexamples[i];
       EXPECT_EQ(ce.element_path, path) << "jobs=" << jobs << " ce " << i;
       EXPECT_TRUE(ce.requires_sequence) << "jobs=" << jobs << " ce " << i;
       std::vector<uint8_t> want(48, 0);
       want[0] = 0x45;
-      want[3] = 0x18;  // total length 24
-      want[8] = flags_byte[i];
+      want[3] = total_len[i];  // total length 36, then 20
+      want[8] = 0x80;          // TTL 128
       std::string got;
       for (const uint8_t b : ce.packet.bytes()) {
         got += "0123456789abcdef"[b >> 4];
