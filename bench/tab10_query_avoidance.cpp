@@ -1,19 +1,19 @@
 // TAB10 — the query-avoidance pack vs the raw decision layer.
 //
-// Four layers sit above the CDCL core (see docs/architecture.md "Query
-// avoidance"): (a) normalization/rewriting before bit-blasting, (b)
-// independence slicing of variable-disjoint conjuncts, (c) a
-// counterexample cache replaying recent models, and (d) unsat-core
-// grouping that discharges whole stitched-suspect families from one core
-// (plus (e) learnt-clause-DB GC, which bounds memory rather than queries).
+// Four query-avoidance rungs sit above the CDCL core in the solver's one
+// verdict ladder (see docs/architecture.md "Query avoidance"):
+// small-domain exhaustion, unsat-core grouping that discharges whole
+// stitched-suspect families from one core, a counterexample cache
+// replaying recent models, and independence slicing of variable-disjoint
+// conjuncts. DecomposedConfig::avoidance switches all four.
 //
-// This bench A/Bs all-layers-on vs all-layers-off on the two query-heavy
+// This bench A/Bs avoidance on vs off on the two query-heavy
 // workloads and reports the number of queries that actually reached the
 // CDCL core (one-shot blasts + incremental assumption solves) — a
 // scheduling-independent counter, meaningful on 1-core CI runners. It also
 // replays every workload across {on,off} x jobs {1,8} x
 // {incremental,one-shot} and byte-compares verdicts, counterexample
-// packets, and bounded-state packet sequences: the layers are verdict-only
+// packets, and bounded-state packet sequences: the rungs are verdict-only
 // front-runs, so the output fingerprint must be identical in every cell.
 //
 // With --assert-improvement <percent>, exits 1 unless avoidance cuts
@@ -36,8 +36,7 @@ namespace {
 struct Measured {
   std::string verdict;
   uint64_t sat_solves = 0;  // queries that reached the CDCL core
-  uint64_t rewrites = 0;
-  uint64_t rewrite_decided = 0;
+  uint64_t exhausted = 0;
   uint64_t slice_decided = 0;
   uint64_t cex_hits = 0;
   uint64_t core_discharges = 0;
@@ -61,18 +60,13 @@ verify::DecomposedConfig make_config(const Mode& m, size_t len) {
   cfg.packet_len = len;
   cfg.jobs = m.jobs;
   cfg.incremental = m.incremental;
-  cfg.rewrite = m.avoidance;
-  cfg.independence = m.avoidance;
-  cfg.cex_cache = m.avoidance;
-  cfg.core_grouping = m.avoidance;
-  cfg.clause_gc = m.avoidance;
+  cfg.avoidance = m.avoidance;
   return cfg;
 }
 
 void fill_stats(Measured* out, const verify::VerifyStats& s, double seconds) {
   out->sat_solves = s.sat_solves;
-  out->rewrites = s.rewrites_applied;
-  out->rewrite_decided = s.rewrite_decided;
+  out->exhausted = s.exhaustion_decided;
   out->slice_decided = s.slice_decided;
   out->cex_hits = s.cex_cache_hits;
   out->core_discharges = s.core_discharges;
@@ -207,7 +201,7 @@ int main(int argc, char** argv) {
 
   bool ok = true;
 
-  benchutil::Table t({"workload", "verdict", "mode", "sat solves", "rewritten",
+  benchutil::Table t({"workload", "verdict", "mode", "sat solves", "exhausted",
                       "sliced", "cex hits", "core disch", "time"});
   for (const Row& w : workloads) {
     Mode off_mode;
@@ -228,7 +222,7 @@ int main(int argc, char** argv) {
     char modebuf[64];
     std::snprintf(modebuf, sizeof(modebuf), "layers on (-%.0f%%)", red);
     t.add_row({"", on.verdict, modebuf, benchutil::fmt_u64(on.sat_solves),
-               benchutil::fmt_u64(on.rewrites),
+               benchutil::fmt_u64(on.exhausted),
                benchutil::fmt_u64(on.slice_decided),
                benchutil::fmt_u64(on.cex_hits),
                benchutil::fmt_u64(on.core_discharges) + "/" +

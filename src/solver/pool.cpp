@@ -26,24 +26,8 @@ void SolverPool::set_incremental(bool on) {
   for (auto& s : solvers_) s->set_incremental(on);
 }
 
-void SolverPool::set_rewrite(bool on) {
-  for (auto& s : solvers_) s->set_rewrite(on);
-}
-
-void SolverPool::set_independence(bool on) {
-  for (auto& s : solvers_) s->set_independence(on);
-}
-
-void SolverPool::set_cex_cache(bool on) {
-  for (auto& s : solvers_) s->set_cex_cache(on);
-}
-
-void SolverPool::set_core_grouping(bool on) {
-  for (auto& s : solvers_) s->set_core_grouping(on);
-}
-
-void SolverPool::set_clause_gc(bool on) {
-  for (auto& s : solvers_) s->set_clause_gc(on);
+void SolverPool::set_avoidance(bool on) {
+  for (auto& s : solvers_) s->set_avoidance(on);
 }
 
 }  // namespace vsd::solver

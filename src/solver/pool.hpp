@@ -32,13 +32,9 @@ class SolverPool {
 
   void set_incremental(bool on);
 
-  // Query-avoidance kill switches, mirrored onto every worker (each layer
-  // is independently toggleable; see Solver for semantics).
-  void set_rewrite(bool on);
-  void set_independence(bool on);
-  void set_cex_cache(bool on);
-  void set_core_grouping(bool on);
-  void set_clause_gc(bool on);
+  // The query-avoidance switch, mirrored onto every worker (see
+  // Solver::set_avoidance).
+  void set_avoidance(bool on);
 
  private:
   std::vector<std::unique_ptr<Solver>> solvers_;

@@ -3,17 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <string_view>
 #include <unordered_set>
 
 #include "cache/fingerprint.hpp"
 #include "obs/trace.hpp"
-
-#ifdef VSD_DEBUG_CONTEXT_QUERIES
-#include <cstdio>
-
-#include "bv/printer.hpp"
-#endif
 
 namespace vsd::solver {
 
@@ -119,10 +112,10 @@ CheckResult SolverContext::check_assuming(const bv::ExprRef& e,
   cs.sat_conflicts += sat_.stats().conflicts - before.conflicts;
   cs.sat_decisions += sat_.stats().decisions - before.decisions;
 
-  // Layer (d): cross-query learnt-DB GC. solve()'s internal reduction limit
-  // resets per call and scales with the accumulated database, so a
-  // long-lived context grows without bound without this hook.
-  if (owner_.clause_gc_on_ && sat_.num_learnts() > owner_.learnt_budget_) {
+  // Cross-query learnt-DB GC. solve()'s internal reduction limit resets
+  // per call and scales with the accumulated database, so a long-lived
+  // context grows without bound without this hook.
+  if (sat_.num_learnts() > owner_.learnt_budget_) {
     ++cs.learnt_gc_runs;
     cs.learnt_gc_removed += sat_.reduce_learnts();
   }
@@ -131,7 +124,7 @@ CheckResult SolverContext::check_assuming(const bv::ExprRef& e,
     case sat::SatResult::Unsat:
       out.result = Result::Unsat;
       // Map the final conflict (negated assumption literals) back to the
-      // conjunct expressions the refutation used — the unsat core layer (e)
+      // conjunct expressions the refutation used — the core-grouping rung
       // groups later queries under it. Skip when the database itself went
       // unsat (no assumption core exists then).
       if (sat_.okay() && !sat_.final_conflict().empty()) {
@@ -157,7 +150,7 @@ CheckResult SolverContext::check_assuming(const bv::ExprRef& e,
       out.model.emplace(id, blaster_.model_value(v));
     }
     owner_.remember_model(out.model);
-  } else if (owner_.cex_cache_on_) {
+  } else if (owner_.avoidance_) {
     // The SAT core just produced a satisfying assignment anyway — harvest
     // it for the cex cache even though the caller only wanted the verdict.
     // Cached models are used as Sat *proofs* only (via concrete
@@ -250,21 +243,14 @@ void Solver::cache_verdict(uint64_t uid, Result res) {
   cache_store(uid, std::move(r), /*has_model=*/res != Result::Sat);
 }
 
-bv::ExprRef Solver::normalized(const bv::ExprRef& e) {
-  if (!rewrite_on_) return e;
-  bv::ExprRef q = rewriter_.rewrite(e);
-  if (q.get() != e.get()) ++stats_.rewrites_applied;
-  return q;
-}
-
 bool Solver::try_exhaustive(const bv::ExprRef& e, Result* out) {
-  if (!rewrite_on_) return false;
   const std::vector<bv::ExprRef> vars = bv::free_variables(e);
   unsigned bits = 0;
   for (const bv::ExprRef& v : vars) {
     bits += v->width();
     if (bits > kSmallDomainBits) return false;
   }
+  ++stats_.exhaustion_decided;
   const uint64_t total = uint64_t{1} << bits;
   bv::Assignment asg;
   for (uint64_t enc = 0; enc < total; ++enc) {
@@ -274,24 +260,21 @@ bool Solver::try_exhaustive(const bv::ExprRef& e, Result* out) {
       rest >>= v->width();
     }
     if (bv::evaluate(e, asg) == 1) {
-      ++stats_.rewrite_decided;
       *out = Result::Sat;
       return true;
     }
   }
-  ++stats_.rewrite_decided;
   *out = Result::Unsat;
   return true;
 }
 
 void Solver::remember_model(const bv::Assignment& m) {
-  if (!cex_cache_on_ || m.empty()) return;
+  if (!avoidance_ || m.empty()) return;
   cex_models_.push_front(m);
   if (cex_models_.size() > kCexCacheModels) cex_models_.pop_back();
 }
 
 bool Solver::try_cex_cache(const bv::ExprRef& e) {
-  if (!cex_cache_on_) return false;
   for (size_t i = 0; i < cex_models_.size(); ++i) {
     ++stats_.cex_cache_tries;
     // A concrete evaluation to 1 is a satisfiability proof: variables the
@@ -337,13 +320,11 @@ void Solver::record_core(const std::vector<bv::ExprRef>& core) {
 }
 
 bool Solver::discharge_by_core(const bv::ExprRef& e) {
-  if (!core_grouping_on_ || cores_.empty()) return false;
-  // Cores are harvested from normalized conjuncts; normalize here too so
-  // external callers can pass raw stitched constraints. Memoized, so this
-  // is O(1) when `e` already went through the ladder.
-  const bv::ExprRef q = rewrite_on_ ? rewriter_.rewrite(e) : e;
+  if (!avoidance_ || cores_.empty()) return false;
+  // Cores are recorded on the conjuncts as built, so a stitched constraint
+  // that repeats a refuted conjunct set matches by uid.
   std::vector<bv::ExprRef> conj;
-  split_spine(q, &conj);
+  split_spine(e, &conj);
   std::unordered_set<uint64_t> uids;
   uids.reserve(conj.size());
   for (const bv::ExprRef& c : conj) uids.insert(c->uid());
@@ -411,12 +392,9 @@ std::vector<bv::ExprRef> Solver::split_components(const bv::ExprRef& e) {
 }
 
 Result Solver::context_check(const bv::ExprRef& e) {
-#ifdef VSD_DEBUG_CONTEXT_QUERIES
-  std::fprintf(stderr, "[ctx] %s\n", bv::to_string(e).substr(0, 220).c_str());
-#endif
   SolverContext& ctx = context();
   const Result pre = ctx.check_assuming(e, /*need_model=*/false).result;
-  if (pre == Result::Unsat && core_grouping_on_ && !ctx.has_base()) {
+  if (pre == Result::Unsat && avoidance_ && !ctx.has_base()) {
     last_core_ = ctx.last_core();
     record_core(last_core_);
   }
@@ -427,20 +405,28 @@ Result Solver::context_check(const bv::ExprRef& e) {
 
 namespace {
 
-// Per-rung counter names must be string literals (obs::count stores the
-// pointer); last_rung_ already is one, so the mapping is identity-shaped
-// but spelled out to prefix the namespace. Only runs when tracing is on.
-const char* rung_counter_name(const char* rung) {
-  const std::string_view r = rung;
-  if (r == "cheap") return "solver.rung.cheap";
-  if (r == "cache") return "solver.rung.cache";
-  if (r == "rewrite") return "solver.rung.rewrite";
-  if (r == "exhaustion") return "solver.rung.exhaustion";
-  if (r == "core-grouping") return "solver.rung.core_grouping";
-  if (r == "cex-cache") return "solver.rung.cex_cache";
-  if (r == "slicing") return "solver.rung.slicing";
-  if (r == "incremental") return "solver.rung.incremental";
-  return "solver.rung.cdcl";
+// The one name table: span-arg label and obs counter per rung (obs::count
+// stores the pointer, so both are string literals). No default case, so a
+// rung added without a name is a -Wswitch warning.
+struct RungNames {
+  const char* label;
+  const char* counter;
+};
+
+RungNames rung_names(Rung r) {
+  switch (r) {
+    case Rung::Cheap: return {"cheap", "solver.rung.cheap"};
+    case Rung::Cache: return {"cache", "solver.rung.cache"};
+    case Rung::Memo: return {"memo", "solver.rung.memo"};
+    case Rung::Exhaustion: return {"exhaustion", "solver.rung.exhaustion"};
+    case Rung::CoreGrouping:
+      return {"core-grouping", "solver.rung.core_grouping"};
+    case Rung::CexCache: return {"cex-cache", "solver.rung.cex_cache"};
+    case Rung::Slicing: return {"slicing", "solver.rung.slicing"};
+    case Rung::Incremental: return {"incremental", "solver.rung.incremental"};
+    case Rung::Cdcl: return {"cdcl", "solver.rung.cdcl"};
+  }
+  return {"?", "solver.rung.unnamed"};
 }
 
 // Domain tag for persistent feasibility-memo keys. Distinct from every
@@ -456,6 +442,17 @@ std::string uid_fingerprint(const bv::ExprRef& e) {
   return buf;
 }
 
+// Span args and counters shared by check() and check_feasible().
+void trace_query(obs::ScopedSpan& sp, Rung rung, Result r,
+                 const bv::ExprRef& e) {
+  const RungNames names = rung_names(rung);
+  sp.arg("rung", names.label);
+  sp.arg("result", result_name(r));
+  sp.arg("query", uid_fingerprint(e));
+  obs::count("solver.queries");
+  obs::count(names.counter);
+}
+
 }  // namespace
 
 CheckResult Solver::check(const bv::ExprRef& e) {
@@ -463,182 +460,70 @@ CheckResult Solver::check(const bv::ExprRef& e) {
   if (!obs::enabled()) return check_inner(e);
   obs::ScopedSpan sp(obs::Cat::Solve, "check");
   CheckResult r = check_inner(e);
-  sp.arg("rung", last_rung_);
-  sp.arg("result", result_name(r.result));
-  sp.arg("query", uid_fingerprint(e));
-  obs::count("solver.queries");
-  obs::count(rung_counter_name(last_rung_));
+  trace_query(sp, last_rung_, r.result, e);
   return r;
 }
 
 CheckResult Solver::check_inner(const bv::ExprRef& e) {
   CheckResult out;
-  if (check_cheap(e, &out)) {
-    last_rung_ = "cheap";
-    return out;
+  out.result = decide(e, /*allow_slice=*/true);
+  // Unsat needs no witness, and a cheap Sat holds under every assignment,
+  // so the empty model is one.
+  if (out.result == Result::Unsat || last_rung_ == Rung::Cheap) return out;
+  // A model cached by an earlier check(), or by the one-shot rung just now
+  // (which caches its Unknown the same way).
+  if (const CacheEntry* hit = cache_find(e->uid());
+      hit != nullptr && hit->has_model) {
+    return hit->r;
   }
-  bool known_sat = false;
-  if (const CacheEntry* hit = cache_find(e->uid())) {
-    ++stats_.cache_hits;
-    last_rung_ = "cache";
-    if (hit->has_model || hit->r.result != Result::Sat) return hit->r;
-    // Sat decided without a model (check_feasible): derive one below.
-    known_sat = true;
-  } else {
-    // Front-run the *verdict* through the avoidance ladder. Unsat (the
-    // common stitched-suspect outcome) returns with no one-shot blast; Sat
-    // only skips ahead to the one-shot model derivation below — witness
-    // bytes are always derived from the original `e`, so they cannot
-    // depend on which layers are enabled. Unknown falls through and
-    // retries one-shot so a polluted context can never make a previously-
-    // decidable query undecidable.
-    const bv::ExprRef q = normalized(e);
-    if (q.get() != e.get()) {
-      CheckResult rw;
-      if (check_cheap(q, &rw)) {
-        ++stats_.rewrite_decided;
-        last_rung_ = "rewrite";
-        if (rw.result == Result::Unsat) {
-          out.result = Result::Unsat;
-          cache_store(e->uid(), out, true);
-          return out;
-        }
-        known_sat = rw.result == Result::Sat;
-      } else if (const CacheEntry* qh = cache_find(q->uid())) {
-        ++stats_.cache_hits;
-        last_rung_ = "cache";
-        if (qh->r.result == Result::Unsat) {
-          out.result = Result::Unsat;
-          cache_store(e->uid(), out, true);
-          return out;
-        }
-        known_sat = qh->r.result == Result::Sat;
-      }
-    }
-    if (!known_sat) {
-      Result ex;
-      if (try_exhaustive(q, &ex)) {
-        last_rung_ = "exhaustion";
-        if (ex == Result::Unsat) {
-          out.result = Result::Unsat;
-          cache_store(e->uid(), out, true);
-          return out;
-        }
-        known_sat = true;
-      }
-    }
-    if (!known_sat && discharge_by_core(q)) {
-      last_rung_ = "core-grouping";
-      out.result = Result::Unsat;
-      cache_store(e->uid(), out, true);
-      return out;
-    }
-    if (!known_sat && try_cex_cache(q)) {
-      last_rung_ = "cex-cache";
-      known_sat = true;
-    }
-    if (!known_sat && independence_on_) {
-      const auto components = split_components(q);
-      if (!components.empty()) {
-        Result agg = Result::Sat;
-        for (const bv::ExprRef& c : components) {
-          ++stats_.slice_components;
-          const Result r = feasible_inner(c, /*allow_slice=*/false);
-          if (r == Result::Unsat) {
-            agg = Result::Unsat;
-            break;
-          }
-          if (r == Result::Unknown) agg = Result::Unknown;
-        }
-        if (agg == Result::Unsat) {
-          ++stats_.slice_decided;
-          last_rung_ = "slicing";
-          out.result = Result::Unsat;
-          cache_store(e->uid(), out, true);
-          return out;
-        }
-        if (agg == Result::Sat) {
-          ++stats_.slice_decided;
-          last_rung_ = "slicing";
-          known_sat = true;
-        }
-      }
-    }
-    if (!known_sat && incremental_) {
-      const Result pre = context_check(q);
-      if (pre == Result::Unsat) {
-        last_rung_ = "incremental";
-        out.result = Result::Unsat;
-        cache_store(e->uid(), out, true);
-        return out;
-      }
-      if (pre == Result::Sat) {
-        last_rung_ = "incremental";
-        known_sat = true;
-      }
-    }
-  }
-  if (!known_sat) last_rung_ = "cdcl";
-  CheckResult r = check_uncached(e);
-  if (r.result == Result::Unknown && known_sat) {
-    // The query is Sat (already proven by a front-run layer) but the fresh
-    // one-shot model derivation blew its conflict budget: no deterministic
-    // witness is derivable, so report Unknown — while keeping the cache's
-    // verdict monotone at Sat so feasibility answers never regress.
-    CheckResult sat_no_model;
-    sat_no_model.result = Result::Sat;
-    cache_store(e->uid(), std::move(sat_no_model), false);
-    return r;
-  }
-  cache_store(e->uid(), r, true);
+  // Sat from a verdict-only rung: derive the witness one-shot from `e`, so
+  // its bytes cannot depend on which rung decided. If that derivation
+  // blows its conflict budget the answer is Unknown, while the cached
+  // verdict stays Sat so feasibility answers never regress.
+  CheckResult r = solve_one_shot(e);
+  if (r.result != Result::Unknown) cache_store(e->uid(), r, true);
   return r;
 }
 
 Result Solver::check_feasible(const bv::ExprRef& e) {
   ++stats_.queries;
   if (!obs::enabled()) {
-    return memo_ == nullptr ? feasible_inner(e, /*allow_slice=*/true)
-                            : feasible_memoized(e);
+    return decide(e, /*allow_slice=*/true, /*use_memo=*/true);
   }
   obs::ScopedSpan sp(obs::Cat::Solve, "check_feasible");
-  const Result r = memo_ == nullptr ? feasible_inner(e, /*allow_slice=*/true)
-                                    : feasible_memoized(e);
-  sp.arg("rung", last_rung_);
-  sp.arg("result", result_name(r));
-  sp.arg("query", uid_fingerprint(e));
-  obs::count("solver.queries");
-  obs::count(rung_counter_name(last_rung_));
+  const Result r = decide(e, /*allow_slice=*/true, /*use_memo=*/true);
+  trace_query(sp, last_rung_, r, e);
   return r;
 }
 
-Result Solver::feasible_memoized(const bv::ExprRef& e) {
-  // Cheap layers and the per-uid cache stay in front: those hits are free
-  // and must not pay fingerprint hashing (they re-run inside feasible_inner
-  // on a miss, which costs nothing by comparison with solving).
+Result Solver::decide(const bv::ExprRef& e, bool allow_slice, bool use_memo) {
   CheckResult out;
   if (check_cheap(e, &out)) {
-    last_rung_ = "cheap";
+    last_rung_ = Rung::Cheap;
     return out.result;
   }
   if (const CacheEntry* hit = cache_find(e->uid())) {
     ++stats_.cache_hits;
-    last_rung_ = "cache";
+    last_rung_ = Rung::Cache;
     return hit->r.result;
   }
+  if (!use_memo || memo_ == nullptr) return decide_uncached(e, allow_slice);
+  // The memo sits behind the free rungs: those hits must not pay
+  // fingerprint hashing.
   cache::Fingerprint fp;
   fp.mix(kFpSolverFeasible);
   fp.mix_expr(e);
   bool sat = false;
   if (memo_->lookup_decision(fp.hi(), fp.lo(), &sat)) {
     ++stats_.memo_hits;
-    last_rung_ = "memo";
+    last_rung_ = Rung::Memo;
     // Seed the uid cache so same-run repeats stay in-process. Sat entries
-    // carry no model (has_model=false): a later check() on this expression
-    // still derives its witness one-shot.
+    // carry no model: a later check() on this expression still derives its
+    // witness one-shot.
     cache_verdict(e->uid(), sat ? Result::Sat : Result::Unsat);
     return sat ? Result::Sat : Result::Unsat;
   }
-  const Result r = feasible_inner(e, /*allow_slice=*/true);
+  const Result r = decide_uncached(e, allow_slice);
   if (r != Result::Unknown) {
     ++stats_.memo_stores;
     memo_->store_decision(fp.hi(), fp.lo(), r == Result::Sat);
@@ -646,73 +531,40 @@ Result Solver::feasible_memoized(const bv::ExprRef& e) {
   return r;
 }
 
-Result Solver::feasible_inner(const bv::ExprRef& e, bool allow_slice) {
-  CheckResult out;
-  if (check_cheap(e, &out)) {
-    last_rung_ = "cheap";
-    return out.result;
-  }
-  if (const CacheEntry* hit = cache_find(e->uid())) {
-    ++stats_.cache_hits;
-    last_rung_ = "cache";
-    return hit->r.result;
-  }
-  // Layer (a): normalization. Verdict-equivalent by construction; decided
-  // results are cached under the original uid too so the variant never
-  // pays twice.
-  const bv::ExprRef q = normalized(e);
-  if (q.get() != e.get()) {
-    CheckResult rw;
-    if (check_cheap(q, &rw)) {
-      ++stats_.rewrite_decided;
-      last_rung_ = "rewrite";
-      cache_verdict(e->uid(), rw.result);
-      return rw.result;
-    }
-    if (const CacheEntry* qh = cache_find(q->uid())) {
-      ++stats_.cache_hits;
-      last_rung_ = "cache";
-      cache_verdict(e->uid(), qh->r.result);
-      return qh->r.result;
-    }
-  }
-  // Tiny-domain constraints are decided exactly by trying every
-  // assignment — complete in both directions, zero SAT work.
-  {
+Result Solver::decide_uncached(const bv::ExprRef& e, bool allow_slice) {
+  if (avoidance_) {
+    // Tiny-domain constraints are decided exactly by trying every
+    // assignment — complete in both directions, zero SAT work.
     Result ex;
-    if (try_exhaustive(q, &ex)) {
-      last_rung_ = "exhaustion";
+    if (try_exhaustive(e, &ex)) {
+      last_rung_ = Rung::Exhaustion;
       cache_verdict(e->uid(), ex);
-      if (q.get() != e.get()) cache_verdict(q->uid(), ex);
       return ex;
     }
-  }
-  // Layer (e): a recorded unsat core subsumed by this conjunct set.
-  if (discharge_by_core(q)) {
-    last_rung_ = "core-grouping";
-    cache_verdict(e->uid(), Result::Unsat);
-    if (q.get() != e.get()) cache_verdict(q->uid(), Result::Unsat);
-    return Result::Unsat;
-  }
-  // Layer (c): replay recent models — a hit proves Sat with zero solving.
-  if (try_cex_cache(q)) {
-    last_rung_ = "cex-cache";
-    cache_verdict(e->uid(), Result::Sat);
-    if (q.get() != e.get()) cache_verdict(q->uid(), Result::Sat);
-    return Result::Sat;
-  }
-  // Layer (b): variable-disjoint components are independently satisfiable
-  // iff their conjunction is; each component runs the ladder on its own
-  // (and its verdict is cached, so shared prefixes across a query family
-  // decide once). An Unknown component falls through to deciding `q`
-  // whole, so slicing never makes a decidable query undecidable.
-  if (allow_slice && independence_on_) {
-    const auto components = split_components(q);
+    // A recorded unsat core subsumed by this conjunct set.
+    if (discharge_by_core(e)) {
+      last_rung_ = Rung::CoreGrouping;
+      cache_verdict(e->uid(), Result::Unsat);
+      return Result::Unsat;
+    }
+    // Replay recent models — a hit proves Sat with zero solving.
+    if (try_cex_cache(e)) {
+      last_rung_ = Rung::CexCache;
+      cache_verdict(e->uid(), Result::Sat);
+      return Result::Sat;
+    }
+    // Variable-disjoint components are independently satisfiable iff their
+    // conjunction is; each component runs the ladder on its own (and its
+    // verdict is cached, so shared prefixes across a query family decide
+    // once). An Unknown component falls through to deciding `e` whole, so
+    // slicing never makes a decidable query undecidable.
+    const auto components =
+        allow_slice ? split_components(e) : std::vector<bv::ExprRef>{};
     if (!components.empty()) {
       Result agg = Result::Sat;
       for (const bv::ExprRef& c : components) {
         ++stats_.slice_components;
-        const Result r = feasible_inner(c, /*allow_slice=*/false);
+        const Result r = decide(c, /*allow_slice=*/false);
         if (r == Result::Unsat) {
           agg = Result::Unsat;
           break;
@@ -721,43 +573,33 @@ Result Solver::feasible_inner(const bv::ExprRef& e, bool allow_slice) {
       }
       if (agg != Result::Unknown) {
         ++stats_.slice_decided;
-        last_rung_ = "slicing";
+        last_rung_ = Rung::Slicing;
         cache_verdict(e->uid(), agg);
-        if (q.get() != e.get()) cache_verdict(q->uid(), agg);
         return agg;
       }
     }
   }
+  // An Unknown from a polluted context falls through to the one-shot solve,
+  // so the context can never make a decidable query undecidable.
   if (incremental_) {
-    const Result pre = context_check(q);
+    const Result pre = context_check(e);
     if (pre != Result::Unknown) {
-      last_rung_ = "incremental";
-      CheckResult r;
-      r.result = pre;
-      cache_store(e->uid(), std::move(r), /*has_model=*/pre != Result::Sat);
-      if (q.get() != e.get()) cache_verdict(q->uid(), pre);
+      last_rung_ = Rung::Incremental;
+      cache_verdict(e->uid(), pre);
       return pre;
     }
   }
-  last_rung_ = "cdcl";
-  CheckResult r = check_uncached(q);
+  last_rung_ = Rung::Cdcl;
+  CheckResult r = solve_one_shot(e);
   const Result res = r.result;
-  if (q.get() == e.get()) {
-    cache_store(e->uid(), std::move(r), true);
-  } else {
-    // The model belongs to the rewritten form: cache it under q (where it
-    // is byte-correct) and only the verdict under e — a later check(e)
-    // must derive its witness from the original expression.
-    cache_store(q->uid(), std::move(r), true);
-    cache_verdict(e->uid(), res);
-  }
+  cache_store(e->uid(), std::move(r), true);
   return res;
 }
 
-CheckResult Solver::check_uncached(const bv::ExprRef& e) {
+CheckResult Solver::solve_one_shot(const bv::ExprRef& e) {
   CheckResult out;
-  // Layer 3: one-shot bit-blast + CDCL. Deterministic in `e` alone, which
-  // is what makes check() models schedule- and history-independent.
+  // Deterministic in `e` alone, which is what makes check() models
+  // schedule- and history-independent.
   sat::SatSolver sat_solver;
   BitBlaster blaster(sat_solver);
   blaster.assert_true(e);

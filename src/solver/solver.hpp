@@ -1,14 +1,23 @@
 // Top-level decision procedure for bv constraints.
 //
-// Layered strategy, mirroring the paper's observation that most stitched
-// path constraints collapse syntactically:
-//   1. constant folding already happened in the expression factories, so a
-//      constraint that simplifies to true/false is decided for free;
-//   2. a cheap unsigned-interval pass decides most remaining comparisons;
-//   3. otherwise the constraint is bit-blasted and handed to the CDCL SAT
-//      solver, which also produces a model (a concrete packet witness).
+// Every query runs down one verdict ladder, cheapest rung first, and the
+// first rung that decides answers (most stitched path constraints collapse
+// syntactically, as the paper observes, so the early rungs carry most of
+// the load):
+//   1. cheap: the expression factories already folded constants, so a
+//      constraint that simplified to true/false is decided for free, and an
+//      unsigned-interval pass decides most remaining comparisons;
+//   2. the per-uid result cache, then (check_feasible only) the persistent
+//      cross-run feasibility memo;
+//   3. query avoidance (one switch, set_avoidance): small-domain
+//      exhaustion, unsat-core subsumption, counterexample replay and
+//      independence slicing;
+//   4. the live incremental context (SolverContext below);
+//   5. a one-shot bit-blast + CDCL solve, which also produces a model.
+// check() is the same ladder plus a one-shot model derivation on Sat, so
+// witness bytes depend only on the expression, never on which rung decided.
 //
-// Layer 3 is incremental: a Solver keeps a live SolverContext — one
+// Rung 4 is incremental: a Solver keeps a live SolverContext — one
 // persistent SatSolver + BitBlaster whose expr→literal cache survives
 // across queries — and decides each query under assumptions instead of
 // re-Tseitin-blasting the whole constraint from scratch. Step-2 stitched
@@ -25,7 +34,6 @@
 
 #include "bv/analysis.hpp"
 #include "bv/expr.hpp"
-#include "bv/rewrite.hpp"
 #include "solver/bitblast.hpp"
 #include "solver/sat.hpp"
 
@@ -50,22 +58,22 @@ struct CheckStats {
   uint64_t incremental_queries = 0;  // check_assuming() solves
   uint64_t assumption_reuses = 0;    // conjuncts served from a live blast cache
   uint64_t learnt_retained = 0;      // learnt clauses alive at query start
-  // Query-avoidance layers (each independently switchable). A query
+  // Query-avoidance rungs (one switch, Solver::set_avoidance). A query
   // "reaches the CDCL core" when it costs a SatSolver::solve() call:
   // decided_by_sat + incremental_queries counts exactly those — the number
   // tab10 A/Bs.
-  uint64_t rewrites_applied = 0;   // queries whose normalized form differs
-  uint64_t rewrite_decided = 0;    // decided cheaply only after normalization
-  uint64_t slice_components = 0;   // component subqueries issued by slicing
-  uint64_t slice_decided = 0;      // queries decided component-wise
-  uint64_t cex_cache_tries = 0;    // cached models replayed against queries
-  uint64_t cex_cache_hits = 0;     // Sat decided by a replayed model
-  uint64_t core_discharges = 0;    // Unsat decided by stored-core subsumption
-  uint64_t cores_recorded = 0;     // assumption cores harvested
-  uint64_t learnt_gc_runs = 0;     // cross-query clause-DB GC invocations
-  uint64_t learnt_gc_removed = 0;  // learnt clauses dropped by that GC
-  // Persistent-memo layer (set_feasibility_memo): feasibility verdicts
-  // served from a cross-run store instead of the avoidance ladder.
+  uint64_t exhaustion_decided = 0;  // decided by small-domain exhaustion
+  uint64_t slice_components = 0;    // component subqueries issued by slicing
+  uint64_t slice_decided = 0;       // queries decided component-wise
+  uint64_t cex_cache_tries = 0;     // cached models replayed against queries
+  uint64_t cex_cache_hits = 0;      // Sat decided by a replayed model
+  uint64_t core_discharges = 0;     // Unsat decided by stored-core subsumption
+  uint64_t cores_recorded = 0;      // assumption cores harvested
+  // Clause GC (always on): bounds a live context's learnt clauses.
+  uint64_t learnt_gc_runs = 0;      // cross-query clause-DB GC invocations
+  uint64_t learnt_gc_removed = 0;   // learnt clauses dropped by that GC
+  // Persistent-memo rung (set_feasibility_memo, check_feasible only):
+  // verdicts served from a cross-run store.
   uint64_t memo_hits = 0;
   uint64_t memo_stores = 0;
 };
@@ -165,6 +173,20 @@ class SolverContext {
   bool has_base_ = false;
 };
 
+// Which ladder rung decided a query, for tracing (span arg "rung" and the
+// solver.rung.* counters; solver.cpp holds the one name table).
+enum class Rung : uint8_t {
+  Cheap,
+  Cache,
+  Memo,
+  Exhaustion,
+  CoreGrouping,
+  CexCache,
+  Slicing,
+  Incremental,
+  Cdcl,
+};
+
 class Solver {
  public:
   Solver();
@@ -177,14 +199,14 @@ class Solver {
   // models are always derived by a deterministic one-shot solve, so the
   // witness bytes depend only on `e` — never on what this solver decided
   // before (required for jobs-count-independent counterexamples). The
-  // incremental context still front-runs the query: an Unsat answer (the
-  // common case for stitched suspects) never pays a one-shot blast.
+  // verdict ladder still front-runs the query: an Unsat answer (the common
+  // case for stitched suspects) never pays a one-shot blast.
   CheckResult check(const bv::ExprRef& e);
 
   // Decides satisfiability without deriving a model — the fast path for
   // feasibility pruning (symbolic-execution fork checks, speculative
-  // instruction-bound decisions). Runs entirely on the incremental context
-  // when enabled.
+  // instruction-bound decisions). The only entry point that consults the
+  // persistent feasibility memo.
   Result check_feasible(const bv::ExprRef& e);
 
   // Convenience: true iff `e` is satisfiable. Treats Unknown as satisfiable
@@ -203,39 +225,29 @@ class Solver {
   void set_incremental(bool on) { incremental_ = on; }
   bool incremental() const { return incremental_; }
 
-  // --- query-avoidance layers (all default on) -----------------------------
-  // Each layer has its own kill switch so regressions bisect cleanly; the
-  // tab10 bench A/Bs all-on vs. all-off. Verdicts are identical either way
-  // (within conflict budgets) and counterexample bytes are always derived
-  // by a one-shot solve of the original expression, never a transformed one.
-  void set_rewrite(bool on) { rewrite_on_ = on; }       // (a) normalization
-  void set_independence(bool on) { independence_on_ = on; }  // (b) slicing
-  void set_cex_cache(bool on) { cex_cache_on_ = on; }   // (c) model replay
-  void set_core_grouping(bool on) { core_grouping_on_ = on; }  // (e) cores
-  void set_clause_gc(bool on) { clause_gc_on_ = on; }   // (d) learnt-DB GC
-  bool rewrite_enabled() const { return rewrite_on_; }
-  bool independence_enabled() const { return independence_on_; }
-  bool cex_cache_enabled() const { return cex_cache_on_; }
-  bool core_grouping_enabled() const { return core_grouping_on_; }
-  bool clause_gc_enabled() const { return clause_gc_on_; }
+  // Query avoidance (default on): small-domain exhaustion, unsat-core
+  // subsumption (with core harvesting), counterexample replay (with model
+  // harvesting) and independence slicing, as one switch. Off, a query the
+  // cheap rungs and the caches cannot decide goes straight to the
+  // incremental context or the one-shot solve — the baseline tab10 A/Bs
+  // against. Verdicts are identical either way (within conflict budgets)
+  // and counterexample bytes always come from a one-shot solve of the
+  // original expression.
+  void set_avoidance(bool on) { avoidance_ = on; }
   // Live-context learnt-clause cap: exceeding it after a query triggers
-  // SatSolver::reduce_learnts() (layer (d)). Generous by default — the GC
-  // exists to bound long-lived contexts, not to churn small ones.
+  // SatSolver::reduce_learnts(). Always on — it bounds a long-lived
+  // context's memory and avoids no query; the default is generous, and
+  // tests shrink it to make the GC fire.
   void set_learnt_budget(size_t n) { learnt_budget_ = n; }
-  size_t learnt_budget() const { return learnt_budget_; }
 
   // Unsat-core grouping surface for drivers (verify/decomposed.cpp): true
   // iff `e`'s top-level conjunct set is a superset of a recorded core, i.e.
   // `e` is unsatisfiable without any solver query (counted as a core
-  // discharge). Cores are harvested automatically from incremental Unsat
-  // answers; last_unsat_core() exposes the most recent one.
+  // discharge). Always false with avoidance off. Cores are harvested
+  // automatically from incremental Unsat answers; last_unsat_core()
+  // exposes the most recent one.
   bool discharge_by_core(const bv::ExprRef& e);
   const std::vector<bv::ExprRef>& last_unsat_core() const { return last_core_; }
-
-  // Feeds an externally-derived model into the counterexample cache (the
-  // bounded-state enumeration hands out context models; replaying them can
-  // decide later feasibility queries without SAT).
-  void remember_model(const bv::Assignment& m);
 
   // The live internal context (created lazily on first use).
   SolverContext& context();
@@ -259,39 +271,37 @@ class Solver {
 
   struct CacheEntry {
     CheckResult r;
-    // False for a Sat decided without model derivation (check_feasible):
-    // a later check() upgrades the entry with a one-shot model.
+    // False for a Sat decided without model derivation (any rung but the
+    // one-shot): a later check() upgrades the entry with a one-shot model.
     bool has_model = true;
   };
 
-  CheckResult check_uncached(const bv::ExprRef& e);
-  // check()'s body; the public wrapper adds the tracing span. Sets
-  // last_rung_ like feasible_inner does.
+  // check()'s body; the public wrapper adds the tracing span.
   CheckResult check_inner(const bv::ExprRef& e);
-  // Layers 1+2 (folding, intervals). Returns true when decided.
+  // The verdict ladder: cheap -> uid cache -> memo (use_memo only) -> the
+  // paying rungs of decide_uncached(). Components recurse with allow_slice
+  // off (a variable-connected component cannot split further). Sets
+  // last_rung_.
+  Result decide(const bv::ExprRef& e, bool allow_slice, bool use_memo = false);
+  // The rungs that cost work: exhaustion -> core subsumption -> cex replay
+  // -> slicing -> incremental context -> one-shot. Caches every decided
+  // verdict under e's uid; the one-shot rung caches its model too.
+  Result decide_uncached(const bv::ExprRef& e, bool allow_slice);
+  // One-shot bit-blast + CDCL, deterministic in `e` alone.
+  CheckResult solve_one_shot(const bv::ExprRef& e);
+  // Folding and intervals. Returns true when decided.
   bool check_cheap(const bv::ExprRef& e, CheckResult* out);
   const CacheEntry* cache_find(uint64_t uid);
   void cache_store(uint64_t uid, CheckResult r, bool has_model);
   // Caches a verdict decided without model derivation.
   void cache_verdict(uint64_t uid, Result res);
-  // The full feasibility ladder (verdict only): cheap -> uid cache ->
-  // rewrite -> core subsumption -> cex cache -> independence slicing ->
-  // incremental context -> one-shot. Components recurse with allow_slice
-  // off (a variable-connected component cannot split further).
-  Result feasible_inner(const bv::ExprRef& e, bool allow_slice);
-  // check_feasible()'s body when a memo is attached: cheap/uid-cache first
-  // (free, and repeat queries must not pay fingerprint hashing), then the
-  // memo, then the full ladder — storing any decided verdict back.
-  Result feasible_memoized(const bv::ExprRef& e);
-  // Rewritten form of e when the pass is on (identity otherwise).
-  bv::ExprRef normalized(const bv::ExprRef& e);
   // Exhaustive evaluation over every assignment of a tiny-domain
   // constraint (total free-variable bits <= kSmallDomainBits): complete,
-  // so it decides Sat AND Unsat exactly with zero SAT work. Part of the
-  // normalization layer (counted under rewrite_decided, gated by the same
-  // switch) — normalization is what shrinks cones into its range.
+  // so it decides Sat AND Unsat exactly with zero SAT work.
   bool try_exhaustive(const bv::ExprRef& e, Result* out);
   bool try_cex_cache(const bv::ExprRef& e);
+  // Feeds a solver-derived model into the counterexample cache.
+  void remember_model(const bv::Assignment& m);
   void record_core(const std::vector<bv::ExprRef>& core);
   // Variable-connected components of e's And-spine; empty when e does not
   // split (fewer than two components).
@@ -301,21 +311,16 @@ class Solver {
   Result context_check(const bv::ExprRef& e);
 
   uint64_t max_conflicts_ = UINT64_MAX;
-  // Which avoidance-ladder rung decided the most recent query (a string
-  // literal; plain pointer stores at the return sites, so maintaining it
-  // costs nothing when tracing is off). Read only by the tracing wrappers.
-  const char* last_rung_ = "cheap";
+  // Which rung decided the most recent query (plain stores at the return
+  // sites, so maintaining it costs nothing when tracing is off). Read only
+  // by the tracing wrappers and check_inner.
+  Rung last_rung_ = Rung::Cheap;
   bool incremental_ = true;
-  bool rewrite_on_ = true;
-  bool independence_on_ = true;
-  bool cex_cache_on_ = true;
-  bool core_grouping_on_ = true;
-  bool clause_gc_on_ = true;
+  bool avoidance_ = true;
   size_t learnt_budget_ = size_t{1} << 14;
   FeasibilityMemo* memo_ = nullptr;
   CheckStats stats_;
   std::unique_ptr<SolverContext> ctx_;
-  bv::Rewriter rewriter_;
   // Counterexample cache: recently-derived models, most recent first. A new
   // query is first evaluated under each — any satisfying assignment proves
   // Sat without touching the CDCL core (klee CexCachingSolver shape).

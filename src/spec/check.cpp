@@ -136,9 +136,9 @@ AssertionOutcome run_bounded_state(const Assertion& a,
 // Key for a whole-assertion cache entry: the pipeline's structural hash,
 // the packet geometry, and the assertion's semantic content with `let`
 // references inlined — NOT its source text, so reformatting a spec (or
-// renaming a let) still hits. Budgets and job/incremental/avoidance
-// settings are excluded: check_spec pins deterministic budgets, and the
-// remaining knobs are verdict-invariant by design. Engine semantic changes
+// renaming a let) still hits. Budgets and job/incremental settings are
+// excluded: check_spec pins deterministic budgets, and the remaining knobs
+// are verdict-invariant by design. Engine semantic changes
 // invalidate through the store's engine-version framing.
 cache::Fingerprint assertion_fingerprint(const SpecFile& spec,
                                          const Assertion& a,
@@ -259,11 +259,6 @@ CheckReport check_spec(const SpecFile& spec, const CheckOptions& opts) {
   cfg.packet_len = spec.packet_len;
   cfg.jobs = opts.jobs;
   cfg.incremental = opts.incremental;
-  cfg.rewrite = opts.rewrite;
-  cfg.independence = opts.independence;
-  cfg.cex_cache = opts.cex_cache;
-  cfg.core_grouping = opts.core_grouping;
-  cfg.clause_gc = opts.clause_gc;
   // Deterministic refinement budget, like the fuzz harness: the wall-clock
   // budget can flip a Violated-with-certificate into an honest Unknown on
   // a loaded machine (observed under a parallel ctest run), and `vsd

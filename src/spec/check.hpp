@@ -26,13 +26,6 @@ struct CheckOptions {
   size_t jobs = 1;
   // Incremental assumption-based solving (see DecomposedConfig::incremental).
   bool incremental = true;
-  // Query-avoidance kill switches (see the DecomposedConfig fields of the
-  // same names). All verdict-only: results are identical in any setting.
-  bool rewrite = true;
-  bool independence = true;
-  bool cex_cache = true;
-  bool core_grouping = true;
-  bool clause_gc = true;
   // Persistent cross-run verdict cache (vsd serve / --cache-dir). Consulted
   // at two granularities: whole AssertionOutcomes (a warm resubmission of
   // an unchanged assertion skips verification entirely) and, through the

@@ -58,8 +58,7 @@ std::string stats_json(const verify::VerifyStats& s) {
   field("assumption_reuses", s.assumption_reuses);
   field("learnt_retained", s.learnt_retained);
   field("sat_solves", s.sat_solves);
-  field("rewrites_applied", s.rewrites_applied);
-  field("rewrite_decided", s.rewrite_decided);
+  field("exhaustion_decided", s.exhaustion_decided);
   field("slice_decided", s.slice_decided);
   field("cex_cache_hits", s.cex_cache_hits);
   field("core_discharges", s.core_discharges);

@@ -226,11 +226,6 @@ struct Runner {
     vc.refine_max_instructions = 5'000'000;
     vc.refine_max_solver_checks = 2048;
     vc.max_state_keys = 512;
-    vc.rewrite = cfg.rewrite;
-    vc.independence = cfg.independence;
-    vc.cex_cache = cfg.cex_cache;
-    vc.core_grouping = cfg.core_grouping;
-    vc.clause_gc = cfg.clause_gc;
     return vc;
   }
 

@@ -33,7 +33,10 @@
 // Failed repros are auto-shrunk (sequence- then byte-minimized, see
 // shrink.hpp) and dumped as a .vspec + packet hexdump artifact pair.
 // Everything is reproducible from the seed alone: no wall clock, no
-// global state, deterministic at any --jobs value.
+// global state, deterministic at any --jobs value. Every verifier the
+// harness builds runs the full solver ladder, query avoidance included;
+// that avoidance never changes a verdict or counterexample byte is pinned
+// by tab10's on/off matrix and the solver tests, not by a harness switch.
 #pragma once
 
 #include <cstdint>
@@ -63,14 +66,6 @@ struct FuzzConfig {
   // Cross-check incremental-vs-one-shot and jobs{1,8} verdict equality on
   // the crash-freedom property of every generated pipeline.
   bool cross_check = true;
-  // Query-avoidance kill switches, mirrored into every verifier the
-  // harness builds (verdict-only layers, but independently disengageable
-  // for fault isolation — `vsd fuzz --no-rewrite` etc.).
-  bool rewrite = true;
-  bool independence = true;
-  bool cex_cache = true;
-  bool core_grouping = true;
-  bool clause_gc = true;
   // Concrete-engine kill switch (`vsd fuzz --no-compiled`): when false the
   // whole run executes on the interpreter and the lockstep engine oracle is
   // off; when true (default) every driven packet also runs on an

@@ -113,11 +113,7 @@ class DecomposedVerifier::Impl {
         jobs(resolve_jobs(config.jobs)),
         pool(jobs, config.max_solver_conflicts, config.incremental),
         queue(jobs) {
-    pool.set_rewrite(cfg.rewrite);
-    pool.set_independence(cfg.independence);
-    pool.set_cex_cache(cfg.cex_cache);
-    pool.set_core_grouping(cfg.core_grouping);
-    pool.set_clause_gc(cfg.clause_gc);
+    pool.set_avoidance(cfg.avoidance);
   }
 
   static size_t resolve_jobs(size_t requested) {
@@ -770,8 +766,7 @@ class DecomposedVerifier::Impl {
       out.assumption_reuses += cs.assumption_reuses;
       out.learnt_retained += cs.learnt_retained;
       out.sat_solves += cs.decided_by_sat + cs.incremental_queries;
-      out.rewrites_applied += cs.rewrites_applied;
-      out.rewrite_decided += cs.rewrite_decided;
+      out.exhaustion_decided += cs.exhaustion_decided;
       out.slice_decided += cs.slice_decided;
       out.cex_cache_hits += cs.cex_cache_hits;
       out.core_discharges += cs.core_discharges;
@@ -864,7 +859,7 @@ class DecomposedVerifier::Impl {
     // conjuncts all appear in this stitched constraint discharges the whole
     // suspect with zero solving — one core typically kills the entire
     // family of suspects stitched over the same infeasible prefix.
-    if (cfg.core_grouping && sv.discharge_by_core(st.constraint)) {
+    if (sv.discharge_by_core(st.constraint)) {
       ++vstats.suspects_core_discharged;
       if (have_fp) cfg.decision_cache->store_decision(fp.hi(), fp.lo(), false);
       return solver::Result::Unsat;

@@ -104,16 +104,13 @@ struct DecomposedConfig {
   // reproducible. Within the budget (tier-1 workloads sit orders of
   // magnitude below the default) results are fully deterministic.
   bool incremental = true;
-  // Query-avoidance layers (default all on), each independently
-  // toggleable for A/B measurement and fault isolation — the tab10 bench
-  // and `vsd --no-*` flags drive these. All five are verdict-only
-  // front-runs (counterexample bytes are always derived from the original
-  // constraint), so results stay byte-identical in any combination.
-  bool rewrite = true;        // normalization pass before bit-blasting
-  bool independence = true;   // variable-disjoint conjunct slicing
-  bool cex_cache = true;      // replay recent models before solving
-  bool core_grouping = true;  // unsat-core subsumption across suspects
-  bool clause_gc = true;      // learnt-clause DB GC across context lifetime
+  // Query avoidance (Solver::set_avoidance): small-domain exhaustion,
+  // unsat-core grouping (including the stitched-suspect front-run),
+  // counterexample replay and independence slicing. Verdict-only rungs
+  // (counterexample bytes are always derived from the original
+  // constraint), so results are byte-identical on or off; the tab10 bench
+  // A/Bs the two.
+  bool avoidance = true;
   // Persistent cross-run decision cache (cache::VerdictCache over an
   // on-disk store). When set, Step-2 suspect decisions that previously
   // came back Unsat, feasibility speculations, and whole per-path unroll

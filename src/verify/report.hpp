@@ -74,8 +74,7 @@ struct VerifyStats {
   // tab10 bench A/Bs. The remaining counters attribute the avoided work to
   // its layer.
   uint64_t sat_solves = 0;
-  uint64_t rewrites_applied = 0;        // queries changed by normalization
-  uint64_t rewrite_decided = 0;         // decided cheaply on rewritten form
+  uint64_t exhaustion_decided = 0;      // decided by small-domain exhaustion
   uint64_t slice_decided = 0;           // decided via independent components
   uint64_t cex_cache_hits = 0;          // Sat proven by replaying a model
   uint64_t core_discharges = 0;         // Unsat via recorded-core subsumption
@@ -112,8 +111,7 @@ struct VerifyStats {
     assumption_reuses += o.assumption_reuses;
     learnt_retained += o.learnt_retained;
     sat_solves += o.sat_solves;
-    rewrites_applied += o.rewrites_applied;
-    rewrite_decided += o.rewrite_decided;
+    exhaustion_decided += o.exhaustion_decided;
     slice_decided += o.slice_decided;
     cex_cache_hits += o.cex_cache_hits;
     core_discharges += o.core_discharges;

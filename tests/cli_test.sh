@@ -136,9 +136,18 @@ expect_ok "run valid invocation exits 0" \
 expect_ok "run --no-compiled exits 0" \
   "$VSD" run "Classifier" --packets 16 --no-compiled
 
-# A valid invocation (including avoidance kill switches) still works.
+# The per-rung query-avoidance switches are gone from the CLI: each
+# retired flag is now a usage error, even on a spec that checks clean.
+PACK="$(dirname "$0")/packs/Null.vspec"
+for flag in --no-rewrite --no-independence --no-cex-cache \
+    --no-core-grouping --no-clause-gc; do
+  expect_usage_error "check rejects retired $flag" \
+    "$VSD" check "$PACK" "$flag"
+done
+
+# A valid invocation still works.
 if "$VSD" verify "Classifier -> EthDecap" --property crash --jobs 2 \
-    --no-cex-cache --no-clause-gc > /dev/null 2>&1; then
+    > /dev/null 2>&1; then
   echo "ok: valid invocation exits 0"
 else
   echo "FAIL: valid invocation failed (exit $?)"

@@ -5,7 +5,10 @@
 // drops across jobs and incremental modes.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -14,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "cache/verdict_cache.hpp"
 #include "elements/registry.hpp"
 #include "net/packet.hpp"
 #include "obs/trace.hpp"
@@ -250,6 +254,44 @@ TEST(VerdictNeutrality, TracingOnOffMatrix) {
     ASSERT_EQ(off.verdict, Verdict::Violated);
     ASSERT_FALSE(off.ce_bytes.empty());
   }
+}
+
+// --- solver rung attribution ----------------------------------------------
+
+// A warm --cache-dir run answers its solver queries from the persistent
+// feasibility memo: they must count under solver.rung.memo, not fall
+// through to solver.rung.cdcl, which would claim SAT solves that never ran.
+TEST(RungCounters, WarmMemoHitsCountAsMemoNotCdcl) {
+  TracerGuard guard;
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("vsd_obs_test_memo_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto run = [&dir] {
+    pipeline::Pipeline pl = elements::parse_pipeline(
+        "Classifier -> EthDecap -> CheckIPHeader -> IPLookup(10.0.0.0/8 0)");
+    cache::VerdictCache cache(dir.string());
+    DecomposedConfig cfg;
+    cfg.decision_cache = &cache;
+    DecomposedVerifier v(cfg);
+    return v.verify_crash_freedom(pl);
+  };
+  const verify::CrashFreedomReport cold = run();
+  obs::enable(true);
+  const verify::CrashFreedomReport warm = run();
+  obs::enable(false);
+  fs::remove_all(dir);
+
+  EXPECT_EQ(warm.verdict, cold.verdict);
+  EXPECT_EQ(warm.stats.sat_solves, 0u);
+  const std::map<std::string, uint64_t> counters = obs::counters_snapshot();
+  const auto count = [&counters](const char* name) {
+    const auto it = counters.find(name);
+    return it == counters.end() ? uint64_t{0} : it->second;
+  };
+  EXPECT_EQ(count("solver.rung.cdcl"), 0u);
+  EXPECT_GT(count("solver.rung.memo"), 0u);
 }
 
 // --- stats aggregation audit ----------------------------------------------

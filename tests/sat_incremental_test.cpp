@@ -508,21 +508,16 @@ TEST(SatClauseGC, ReduceLearntsPreservesAnswers) {
 // --- Solver-level query avoidance -------------------------------------------
 
 TEST(SolverCoreGrouping, StoredCoreDischargesSupersetQueries) {
+  // The default ladder: 16-bit vars keep small-domain exhaustion out, and
+  // `c` shares x with the core so slicing cannot split it off.
   solver::Solver sv;
-  // Isolate the core layer: no rewriting (conjunct uids stay as built), no
-  // slicing (it would peel the contradiction into its own component first),
-  // no model replay. 16-bit vars keep the small-domain layer out too.
-  sv.set_rewrite(false);
-  sv.set_independence(false);
-  sv.set_cex_cache(false);
   const bv::ExprRef x = bv::mk_var("x", 16);
   const bv::ExprRef y = bv::mk_var("y", 16);
-  const bv::ExprRef z = bv::mk_var("z", 16);
   const bv::ExprRef a =
       bv::mk_eq(bv::mk_add(x, y), bv::mk_const(3, 16));
   const bv::ExprRef b =
       bv::mk_eq(bv::mk_add(x, y), bv::mk_const(5, 16));
-  const bv::ExprRef c = bv::mk_eq(z, bv::mk_const(7, 16));
+  const bv::ExprRef c = bv::mk_eq(x, bv::mk_const(7, 16));
 
   ASSERT_EQ(sv.check_feasible(bv::mk_land(a, b)), solver::Result::Unsat);
   EXPECT_GT(sv.stats().cores_recorded, 0u);
@@ -582,16 +577,10 @@ TEST(SolverClauseGC, TinyBudgetTriggersCrossQueryGc) {
   // With a zero learnt budget every incremental query that leaves learnt
   // clauses behind triggers the cross-query GC; answers must not change.
   solver::Solver sv;
-  sv.set_rewrite(false);
-  sv.set_independence(false);
-  sv.set_cex_cache(false);
-  sv.set_core_grouping(false);
+  sv.set_avoidance(false);
   sv.set_learnt_budget(0);
   solver::Solver ref;  // default budget: GC effectively idle
-  ref.set_rewrite(false);
-  ref.set_independence(false);
-  ref.set_cex_cache(false);
-  ref.set_core_grouping(false);
+  ref.set_avoidance(false);
 
   const bv::ExprRef x = bv::mk_var("x", 16);
   const bv::ExprRef y = bv::mk_var("y", 16);

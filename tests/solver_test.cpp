@@ -311,10 +311,18 @@ INSTANTIATE_TEST_SUITE_P(Widths, SolverWidthSweep,
 // bit-blasting, CDCL) agrees with brute-force enumeration on random
 // formulas over three 4-bit variables. This fuzz caught a real conflict-
 // analysis soundness bug during development; it stays as a regression net.
+// Each formula goes to a fresh solver, to one long-lived solver (so its
+// uid cache, unsat cores and cex models build up across formulas) through
+// check_feasible() then check(), and to a long-lived solver with query
+// avoidance off. Every verdict must match
+// brute force, and every Sat model the avoidance-off one byte for byte.
 TEST(SolverFuzz, AgreesWithBruteForceOnRandomFormulas) {
   net::Rng rng(0x5eed);
   std::vector<ExprRef> vars = {bv::mk_var("a", 4), bv::mk_var("b", 4),
                                bv::mk_var("c", 4)};
+  solver::Solver shared;
+  solver::Solver off;
+  off.set_avoidance(false);
   for (int iter = 0; iter < 400; ++iter) {
     std::vector<ExprRef> atoms;
     for (int i = 0; i < 6; ++i) {
@@ -350,16 +358,30 @@ TEST(SolverFuzz, AgreesWithBruteForceOnRandomFormulas) {
                                {vars[2]->var_id(), (m >> 8) & 15}};
       if (bv::evaluate(f, asn) == 1) brute_sat = true;
     }
+    const solver::Result want =
+        brute_sat ? solver::Result::Sat : solver::Result::Unsat;
     solver::Solver s;
     const solver::CheckResult r = s.check(f);
-    ASSERT_NE(r.result, solver::Result::Unknown);
-    ASSERT_EQ(r.result == solver::Result::Sat, brute_sat)
+    ASSERT_EQ(r.result, want)
         << "iter " << iter << " solver/brute-force disagreement";
+    ASSERT_EQ(shared.check_feasible(f), want) << "iter " << iter;
+    const solver::CheckResult rs = shared.check(f);
+    const solver::CheckResult ro = off.check(f);
+    ASSERT_EQ(rs.result, want) << "iter " << iter;
+    ASSERT_EQ(ro.result, want) << "iter " << iter;
     if (r.result == solver::Result::Sat) {
       ASSERT_EQ(bv::evaluate(f, r.model), 1u)
           << "iter " << iter << " model does not satisfy the formula";
+      ASSERT_EQ(r.model, ro.model) << "iter " << iter;
+      ASSERT_EQ(rs.model, ro.model) << "iter " << iter;
     }
   }
+  // The long-lived ladder really decided formulas on its avoidance rungs.
+  const solver::CheckStats& st = shared.stats();
+  EXPECT_GT(st.cache_hits, 0u);
+  EXPECT_GT(st.exhaustion_decided, 0u);
+  EXPECT_GT(st.cex_cache_hits, 0u);
+  EXPECT_GT(st.slice_decided, 0u);
 }
 
 // The raw CDCL layer against brute force on random small CNFs.
@@ -521,7 +543,6 @@ TEST(BitBlastDivision, OtherDivisorsKeepTheDividerAndZeroSemantics) {
 
 TEST(QueryAvoidance, VariableDisjointConjunctionIsSliced) {
   solver::Solver sv;
-  sv.set_cex_cache(false);  // decide by components, not by model replay
   const ExprRef x = bv::mk_var("x", 16);
   const ExprRef y = bv::mk_var("y", 16);
   const ExprRef z = bv::mk_var("z", 16);
@@ -554,21 +575,17 @@ TEST(QueryAvoidance, SlicedSatConjunctionStillYieldsAWholeModel) {
 
 TEST(QueryAvoidance, ModelBytesIdenticalWithLayersOnAndOff) {
   // Sat witnesses come from a one-shot solve of the original expression in
-  // both configurations, so enabling the avoidance layers may change only
-  // how verdicts are reached — never the model bytes.
+  // both configurations, so enabling query avoidance may change only how
+  // verdicts are reached — never the model bytes.
   solver::Solver on;
   solver::Solver off;
-  off.set_rewrite(false);
-  off.set_independence(false);
-  off.set_cex_cache(false);
-  off.set_core_grouping(false);
-  off.set_clause_gc(false);
+  off.set_avoidance(false);
 
   const ExprRef x = bv::mk_var("x", 32);
   const ExprRef y = bv::mk_var("y", 32);
   const ExprRef z = bv::mk_var("z", 16);
   const std::vector<ExprRef> mixed{
-      bv::mk_ule(x, bv::mk_const(1000, 32)),            // rewrites to Ult
+      bv::mk_ule(x, bv::mk_const(1000, 32)),            // non-strict bound
       bv::mk_eq(bv::mk_and(y, bv::mk_const(0xf0, 32)),  // bitwise const
                 bv::mk_const(0x40, 32)),
       bv::mk_ult(bv::mk_const(2, 16), z)};              // disjoint component

@@ -108,8 +108,7 @@ Args parse_args(int argc, char** argv) {
   static const char* kBoolFlags[] = {
       "stats",         "one-shot",     "unroll",
       "print",         "no-cross-check", "no-artifacts",
-      "no-rewrite",    "no-independence", "no-cex-cache",
-      "no-core-grouping", "no-clause-gc", "no-compiled"};
+      "no-compiled"};
   Args a;
   for (int i = 1; i < argc; ++i) {
     const std::string s = argv[i];
@@ -139,8 +138,6 @@ Args parse_args(int argc, char** argv) {
 // runs that quietly did less than asked.
 void check_flags(const Args& a) {
   using Set = std::set<std::string>;
-  static const Set kAvoid = {"no-rewrite", "no-independence", "no-cex-cache",
-                             "no-core-grouping", "no-clause-gc"};
   static const std::map<std::string, Set> kMatrix = [] {
     std::map<std::string, Set> m;
     auto with = [](Set base, const Set& extra) {
@@ -153,26 +150,23 @@ void check_flags(const Args& a) {
     m["asm"] = {"print"};
     m["run"] = {"packets", "count",   "seed",       "batch",
                 "pcap-like", "traffic", "no-compiled"};
-    m["check"] = with(kAvoid, with(obs, {"jobs", "one-shot", "stats", "json",
-                                         "cache-dir"}));
-    m["fuzz"] = with(kAvoid,
-                     with(obs, {"emit-packs", "check-packs", "seed",
-                                "pipelines", "packets", "sequences",
-                                "sequence-len", "jobs", "max-elems",
-                                "no-cross-check", "no-artifacts", "out",
-                                "cache-dir", "no-compiled"}));
+    m["check"] = with(obs, {"jobs", "one-shot", "stats", "json", "cache-dir"});
+    m["fuzz"] = with(obs, {"emit-packs", "check-packs", "seed", "pipelines",
+                           "packets", "sequences", "sequence-len", "jobs",
+                           "max-elems", "no-cross-check", "no-artifacts",
+                           "out", "cache-dir", "no-compiled"});
     m["serve"] = with(obs, {"socket", "cache-dir", "jobs"});
     m["submit"] = with(obs, {"socket", "jobs"});
-    m["verify"] = with(kAvoid, with(obs, {"property", "len", "unroll", "jobs",
-                                          "one-shot", "cache-dir", "stats"}));
-    m["reach"] = with(kAvoid, with(obs, {"dst", "eth-offset", "len", "jobs",
-                                         "one-shot", "stats"}));
-    m["state"] = with(kAvoid, with(obs, {"bound", "element", "len", "jobs",
-                                         "one-shot", "stats"}));
+    m["verify"] = with(obs, {"property", "len", "unroll", "jobs", "one-shot",
+                             "cache-dir", "stats"});
+    m["reach"] = with(obs, {"dst", "eth-offset", "len", "jobs", "one-shot",
+                            "stats"});
+    m["state"] = with(obs, {"bound", "element", "len", "jobs", "one-shot",
+                            "stats"});
     m["certify"] = with(obs, {"candidate", "after", "len", "jobs"});
     m["baseline"] = with(obs, {"len", "budget"});
     m["paths"] = with(obs, {"len", "jobs"});
-    m["profile"] = with(kAvoid, with(obs, {"len", "jobs", "one-shot"}));
+    m["profile"] = with(obs, {"len", "jobs", "one-shot"});
     m["verify-ir"] = with(obs, {"len", "property"});
     return m;
   }();
@@ -209,13 +203,11 @@ int usage() {
       "  vsd submit <file.vspec> --socket PATH [--jobs N]\n"
       "      send a spec to a running daemon and print its JSON report\n"
       "      (verify/reach/state/check also take --stats for solver-layer\n"
-      "       counters, --one-shot to disable incremental solving, and\n"
-      "       --no-rewrite/--no-independence/--no-cex-cache/\n"
-      "       --no-core-grouping/--no-clause-gc to disable one\n"
-      "       query-avoidance layer; every verification subcommand also\n"
-      "       takes --trace FILE for a Chrome trace-event JSON and\n"
-      "       --metrics FILE for a JSONL metrics log; flags a subcommand\n"
-      "       does not document are usage errors, exit 2)\n"
+      "       counters and --one-shot to disable incremental solving;\n"
+      "       every verification subcommand also takes --trace FILE for a\n"
+      "       Chrome trace-event JSON and --metrics FILE for a JSONL\n"
+      "       metrics log; flags a subcommand does not document are usage\n"
+      "       errors, exit 2)\n"
       "  vsd fuzz [--seed S] [--pipelines N] [--packets N] [--sequences N]\n"
       "           [--sequence-len K] [--max-elems K] [--jobs N] [--out DIR]\n"
       "           [--no-cross-check] [--no-artifacts] [--cache-dir DIR]\n"
@@ -274,11 +266,10 @@ void print_verify_stats(const verify::VerifyStats& s) {
       u(s.contexts_opened), u(s.incremental_queries), u(s.assumption_reuses),
       u(s.learnt_retained));
   std::printf(
-      "  avoidance: %llu sat solves, %llu rewritten (%llu decided), "
-      "%llu sliced, %llu cex-cache hits, %llu core discharges "
-      "(%llu suspects)\n",
-      u(s.sat_solves), u(s.rewrites_applied), u(s.rewrite_decided),
-      u(s.slice_decided), u(s.cex_cache_hits), u(s.core_discharges),
+      "  avoidance: %llu sat solves, %llu exhausted, %llu sliced, "
+      "%llu cex-cache hits, %llu core discharges (%llu suspects)\n",
+      u(s.sat_solves), u(s.exhaustion_decided), u(s.slice_decided),
+      u(s.cex_cache_hits), u(s.core_discharges),
       u(s.suspects_core_discharged));
   if (s.learnt_gc_runs != 0) {
     std::printf("  clause gc: %llu run(s), %llu learnt clauses dropped\n",
@@ -290,14 +281,6 @@ void print_verify_stats(const verify::VerifyStats& s) {
         u(s.refinements_attempted), u(s.refinements_certified),
         u(s.refinements_eliminated));
   }
-}
-
-void apply_avoidance_flags(const Args& a, verify::DecomposedConfig* cfg) {
-  cfg->rewrite = !a.flag("no-rewrite");
-  cfg->independence = !a.flag("no-independence");
-  cfg->cex_cache = !a.flag("no-cex-cache");
-  cfg->core_grouping = !a.flag("no-core-grouping");
-  cfg->clause_gc = !a.flag("no-clause-gc");
 }
 
 void print_counterexample(const verify::Counterexample& ce) {
@@ -339,11 +322,6 @@ int cmd_check(const Args& a) {
   spec::CheckOptions opts;
   opts.jobs = a.get_u64("jobs", 1);
   opts.incremental = !a.flag("one-shot");
-  opts.rewrite = !a.flag("no-rewrite");
-  opts.independence = !a.flag("no-independence");
-  opts.cex_cache = !a.flag("no-cex-cache");
-  opts.core_grouping = !a.flag("no-core-grouping");
-  opts.clause_gc = !a.flag("no-clause-gc");
   const bool with_stats = a.flag("stats");
   const std::string json_path = a.get("json", "");
   if (a.options.count("json") != 0 && json_path.empty()) {
@@ -441,11 +419,6 @@ int cmd_fuzz(const Args& a) {
   cfg.jobs = a.get_u64("jobs", 1);
   cfg.gen.max_chain = a.get_u64("max-elems", 4);
   cfg.cross_check = !a.flag("no-cross-check");
-  cfg.rewrite = !a.flag("no-rewrite");
-  cfg.independence = !a.flag("no-independence");
-  cfg.cex_cache = !a.flag("no-cex-cache");
-  cfg.core_grouping = !a.flag("no-core-grouping");
-  cfg.clause_gc = !a.flag("no-clause-gc");
   cfg.compiled = !a.flag("no-compiled");
   cfg.cache_dir = a.get("cache-dir", "");
   if (a.options.count("cache-dir") != 0 && cfg.cache_dir.empty()) {
@@ -646,7 +619,6 @@ int cmd_verify(const Args& a) {
   if (a.flag("unroll")) cfg.loop_mode = symbex::LoopMode::Unroll;
   cfg.jobs = a.get_u64("jobs", 1);  // 0 = one worker per hardware thread
   cfg.incremental = !a.flag("one-shot");
-  apply_avoidance_flags(a, &cfg);
   // Persistent cross-run verdict cache, as on `vsd check` / `vsd serve`.
   // (This used to be silently ignored here although the docs promise it.)
   const std::string cache_dir = a.get("cache-dir", "");
@@ -706,7 +678,6 @@ int cmd_reach(const Args& a) {
   cfg.packet_len = a.get_u64("len", 64);
   cfg.jobs = a.get_u64("jobs", 1);
   cfg.incremental = !a.flag("one-shot");
-  apply_avoidance_flags(a, &cfg);
   verify::DecomposedVerifier verifier(cfg);
   const verify::ReachabilityReport r = verifier.verify_never_dropped(
       pl, [&](const symbex::SymPacket& p) {
@@ -728,7 +699,6 @@ int cmd_state(const Args& a) {
   cfg.packet_len = a.get_u64("len", 64);
   cfg.jobs = a.get_u64("jobs", 1);
   cfg.incremental = !a.flag("one-shot");
-  apply_avoidance_flags(a, &cfg);
   verify::DecomposedVerifier verifier(cfg);
   verify::StateBoundSpec spec;
   spec.bound = a.get_u64("bound", 0);
@@ -821,7 +791,6 @@ int cmd_profile(const Args& a) {
   cfg.packet_len = a.get_u64("len", 64);
   cfg.jobs = a.get_u64("jobs", 1);
   cfg.incremental = !a.flag("one-shot");
-  apply_avoidance_flags(a, &cfg);
   verify::DecomposedVerifier verifier(cfg);
 
   // Profile always traces (that's its whole point); with a global --trace
