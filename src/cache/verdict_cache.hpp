@@ -2,8 +2,9 @@
 //
 // Three entry kinds share the store, distinguished by a kind tag folded
 // into the key:
-//   decision   Sat/Unsat of one stitched constraint (suspect elimination /
-//              instruction-bound feasibility speculation)
+//   decision   Sat/Unsat of one constraint: a stitched suspect's
+//              elimination, or the solver memo rung's feasibility verdict
+//              (Solver::set_feasibility_memo)
 //   refine     outcome of a whole per-path unroll refinement, with the
 //              certified counterexample bytes on Sat
 //   assertion  a full AssertionOutcome of `vsd check` (verdict, detail,

@@ -79,19 +79,4 @@ void SharedSummaryCache::clear() {
   misses_.store(0, std::memory_order_relaxed);
 }
 
-const ElementSummary& SummaryCache::get(const ir::Program& program,
-                                        size_t packet_len,
-                                        Executor& executor) {
-  const Key key{ir::program_hash(program), packet_len};
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  return cache_
-      .emplace(key, summarize_element(program, packet_len, executor))
-      .first->second;
-}
-
 }  // namespace vsd::symbex

@@ -44,41 +44,11 @@ ElementSummary summarize_element(const ir::Program& program, size_t packet_len,
 
 // Memoizes summaries by (structural program hash, packet length): an
 // element type+configuration appearing at several pipeline positions — or
-// in several pipelines under verification — is symbexed exactly once.
-class SummaryCache {
- public:
-  const ElementSummary& get(const ir::Program& program, size_t packet_len,
-                            Executor& executor);
-
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-  void clear() { cache_.clear(); }
-
- private:
-  struct Key {
-    uint64_t program_hash;
-    size_t packet_len;
-    bool operator==(const Key& o) const {
-      return program_hash == o.program_hash && packet_len == o.packet_len;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return k.program_hash ^ (k.packet_len * 0x9e3779b97f4a7c15ULL);
-    }
-  };
-  std::unordered_map<Key, ElementSummary, KeyHash> cache_;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
-};
-
-// Thread-safe summary cache for the parallel verification engine. Keyed
-// like SummaryCache by (structural program hash, packet length): an element
-// type+configuration is symbexed exactly once even when many workers race
-// to request it — the first requester computes with its own executor while
-// the others block on the entry until it is ready. Returned references stay
-// valid until clear(), which must only be called while no worker is inside
-// get().
+// in several pipelines under verification — is symbexed exactly once, even
+// when many workers race to request it: the first requester computes with
+// its own executor while the others block on the entry until it is ready.
+// Returned references stay valid until clear(), which must only be called
+// while no worker is inside get().
 class SharedSummaryCache {
  public:
   // `was_miss`, when given, reports whether THIS call computed the summary

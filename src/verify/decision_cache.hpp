@@ -24,9 +24,9 @@
 namespace vsd::verify {
 
 // Extends the solver's FeasibilityMemo seam: the engine hands the same
-// cache object to each Solver (so summarization-time fork checks memoize
-// across runs) and consults it directly for its own stitched-suspect and
-// refine decisions. lookup_decision/store_decision — the feasibility of one
+// cache object to each Solver (so summarization-time fork checks and the
+// instruction bound's feasibility speculation memoize across runs) and
+// consults it directly for its own stitched-suspect and refine decisions. lookup_decision/store_decision — the feasibility of one
 // constraint, with Unknown never stored — are inherited.
 class PathDecisionCache : public solver::FeasibilityMemo {
  public:

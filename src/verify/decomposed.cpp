@@ -39,6 +39,9 @@ const char* verdict_name(Verdict v) {
 
 namespace {
 
+// Conflict budget per SAT query.
+constexpr uint64_t kMaxSolverConflicts = 1u << 22;
+
 struct Timer {
   std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
   double seconds() const {
@@ -111,7 +114,7 @@ class DecomposedVerifier::Impl {
   explicit Impl(DecomposedConfig config)
       : cfg(config),
         jobs(resolve_jobs(config.jobs)),
-        pool(jobs, config.max_solver_conflicts, config.incremental),
+        pool(jobs, kMaxSolverConflicts, config.incremental),
         queue(jobs) {
     pool.set_avoidance(cfg.avoidance);
   }
@@ -132,12 +135,8 @@ class DecomposedVerifier::Impl {
   // Step-1 summary caches: private per instance, unless the config hands
   // in a shared bundle (the serve daemon's warm state).
   SummaryCaches own_caches_;
-  symbex::SharedSummaryCache& cache_summarize() {
-    return cfg.shared_caches ? cfg.shared_caches->summarize
-                             : own_caches_.summarize;
-  }
-  symbex::SharedSummaryCache& cache_unroll() {
-    return cfg.shared_caches ? cfg.shared_caches->unroll : own_caches_.unroll;
+  SummaryCaches& caches() {
+    return cfg.shared_caches ? *cfg.shared_caches : own_caches_;
   }
   // Driver-level counters, one block per worker (reset each call and summed
   // once by snapshot_stats). Block 0 is also the caller's.
@@ -149,13 +148,15 @@ class DecomposedVerifier::Impl {
   // Step 1: element summaries (cached; loop-suspect fallback to unrolling)
   // ---------------------------------------------------------------------
 
-  // How much loop-summary over-approximation a property can tolerate.
+  // How much loop-summary over-approximation a walk can tolerate.
   enum class Precision {
     AcceptBounds,     // instruction bounds: summarized counts are fine
     ExactDropsTraps,  // reachability: Drop/Trap decisions must not depend
                       // on havocked loop outputs
     ExactAll,         // path enumeration: no summarized loops anywhere, so
                       // the composed constraints partition the input space
+    Refine,           // the unroll refinement: exact summaries under the
+                      // refinement budgets
   };
 
   // Summary of pipeline element `elem` at entry length `len`. `sv`/`vstats`
@@ -167,13 +168,17 @@ class DecomposedVerifier::Impl {
                                     solver::Solver& sv, VerifyStats& vstats) {
     const ir::Program& prog = pl.element(elem).model_program();
     const uint64_t hash = prog_hash_[elem];
+    if (precision == Precision::Refine) {
+      return get_summary(caches().refine, symbex::LoopMode::Unroll, prog,
+                         hash, len, sv, vstats, /*refine=*/true);
+    }
     if (cfg.loop_mode == symbex::LoopMode::Unroll) {
-      return get_summary(cache_unroll(), symbex::LoopMode::Unroll, prog, hash,
+      return get_summary(caches().unroll, symbex::LoopMode::Unroll, prog, hash,
                          len, sv, vstats);
     }
     const ElementSummary& s =
-        get_summary(cache_summarize(), symbex::LoopMode::Summarize, prog, hash,
-                    len, sv, vstats);
+        get_summary(caches().summarize, symbex::LoopMode::Summarize, prog,
+                    hash, len, sv, vstats);
     // Any remaining trap suspect in a summarized element gets the exact
     // (unrolled) treatment before we conclude anything — regardless of
     // property, because trap constraints may be loop-over-approximated.
@@ -191,18 +196,23 @@ class DecomposedVerifier::Impl {
         has_trap ||
         (precision == Precision::ExactDropsTraps && has_lossy_drop) ||
         (precision == Precision::ExactAll && has_any_bound);
-    if (cfg.unroll_fallback && need_unroll) {
-      return get_summary(cache_unroll(), symbex::LoopMode::Unroll, prog, hash,
-                         len, sv, vstats);
+    if (need_unroll) {
+      return get_summary(caches().unroll, symbex::LoopMode::Unroll, prog,
+                         hash, len, sv, vstats);
     }
     return s;
   }
 
+  // `refine` applies the refinement budgets. Their summaries live in a
+  // dedicated cache: a loop-heavy element that cannot be unrolled within
+  // the budgets yields a truncated summary (the refinement gives up as
+  // Unknown) instead of hanging, and never pollutes the unbudgeted unroll
+  // cache.
   const ElementSummary& get_summary(symbex::SharedSummaryCache& cache,
                                     symbex::LoopMode mode,
                                     const ir::Program& prog, uint64_t hash,
                                     size_t len, solver::Solver& sv,
-                                    VerifyStats& vstats) {
+                                    VerifyStats& vstats, bool refine = false) {
     symbex::ExecOptions eo;
     eo.loop_mode = mode;
     // Summarize mode relies on folding + intervals (cheap, and the loop
@@ -212,6 +222,13 @@ class DecomposedVerifier::Impl {
                         ? symbex::ForkCheck::Solver
                         : symbex::ForkCheck::FoldOnly;
     eo.solver = &sv;
+    if (refine) {
+      eo.time_budget_seconds = cfg.refine_time_budget_seconds;
+      if (cfg.refine_max_instructions != 0) {
+        eo.max_instructions = cfg.refine_max_instructions;
+      }
+      eo.max_solver_checks = cfg.refine_max_solver_checks;
+    }
     symbex::Executor exec(eo);
     bool was_miss = false;
     obs::ScopedSpan sp(obs::Cat::Summarize, "summarize");
@@ -223,8 +240,9 @@ class DecomposedVerifier::Impl {
       } else {
         sp.arg("element", prog.name);
         sp.arg("entry_len", std::to_string(len));
-        sp.arg("mode", mode == symbex::LoopMode::Unroll ? "unroll"
-                                                        : "summarize");
+        sp.arg("mode", refine                               ? "refine"
+                       : mode == symbex::LoopMode::Unroll ? "unroll"
+                                                          : "summarize");
         obs::count("verify.elements_summarized");
       }
     }
@@ -448,15 +466,17 @@ class DecomposedVerifier::Impl {
     return &s;
   }
 
-  // The path state after a stitched segment: constraint, trace and KV
-  // reads extended; the packet is the segment's output when it continues.
+  // The path state after stitched segment `g` of element `elem`:
+  // constraint, instruction count, trace and KV reads extended; the packet
+  // is the segment's output when it continues.
   static ComposeState next_state(const ComposeState& st, const Stitched& s,
-                                 ExprRef constraint, size_t elem) {
+                                 const Segment& g, ExprRef constraint,
+                                 size_t elem) {
     ComposeState next;
     next.pkt = s.out;
     next.constraint = std::move(constraint);
-    next.count = st.count;
-    next.count_is_bound = st.count_is_bound;
+    next.count = st.count + g.instr_count;
+    next.count_is_bound = st.count_is_bound || g.count_is_bound;
     next.kv_reads = st.kv_reads;
     for (const auto& r : s.kv_reads) {
       next.kv_reads.push_back(PathKvRead{elem, st.pkt->bytes.size(), r});
@@ -466,42 +486,22 @@ class DecomposedVerifier::Impl {
     return next;
   }
 
-  // Expands one feasible segment onto the running compose state: stitches
-  // the constraint, accumulates counts/KV reads/trace, and (for an Emit
-  // continuing into `down`) installs the segment's output packet. Returns
-  // nullopt when the stitched constraint folds to false — for a trap
-  // segment that IS the Step-2 elimination, the paper's p1 case, where
-  // (in < 0) ∧ (0 < 0) collapses syntactically. Shared by the property walk
-  // and the refinement re-walk so compose semantics cannot diverge.
-  std::optional<ComposeState> expand_segment(const ElementSummary& sum,
-                                             const Segment& g,
-                                             const ComposeState& st,
-                                             size_t elem,
-                                             std::optional<size_t> down,
-                                             VerifyStats& vstats) {
-    const bool continues = g.action == SegAction::Emit && down.has_value();
-    ExprRef c;
-    const Stitched* s = instantiate(elem, sum, g, st, continues, false, &c);
-    if (s == nullptr) {
-      if (g.action == SegAction::Trap) ++vstats.suspects_eliminated;
-      return std::nullopt;
-    }
-    ComposeState next = next_state(st, *s, std::move(c), elem);
-    next.count += g.instr_count;
-    next.count_is_bound = next.count_is_bound || g.count_is_bound;
-    return next;
-  }
-
   // ---------------------------------------------------------------------
-  // The composed-path walk. Every feasible Emit edge submits a work-queue
-  // task for the downstream subtree, and terminals (Drop, Trap, or Emit
-  // leaving the pipeline) are handed to the callback on whichever worker
-  // reached them. At jobs=1 the queue runs each task inline, so the walk
-  // is a plain depth-first recursion on the caller. Each terminal carries
-  // its DFS address (the segment index chosen at every element), so callers
-  // sort results into exactly the jobs=1 emission order — reports are
-  // byte-for-byte deterministic in verdicts, suspect sets, and path lists
-  // regardless of job count.
+  // The composed-path walk: Step 2's one traversal. Every property, the
+  // bounded-state site collection and the unroll refinement run through
+  // walk_task, each driven by its own Walk. A visited element's segments
+  // are stitched onto the path in index order, every stitched segment is
+  // handed to the walk's callback on whichever worker stitched it, and
+  // every Emit into a visited downstream element submits a work-queue task
+  // for that subtree. At jobs=1 the queue runs each task inline, so the
+  // walk is a plain depth-first recursion on the caller; walks that must
+  // run in DFS order at any job count (key enumeration depends on site
+  // order, the refinement stops at its first certified violation) use a
+  // call-local one-job queue. Each segment carries its DFS address (the
+  // segment index chosen at every element), so callers sort results into
+  // exactly the jobs=1 emission order — reports are byte-for-byte
+  // deterministic in verdicts, suspect sets, and path lists regardless of
+  // job count.
   //
   // Caveat, shared with every parallel model checker that bounds work with
   // a global counter: if max_composed_paths is actually exhausted at
@@ -512,76 +512,101 @@ class DecomposedVerifier::Impl {
   // results are fully deterministic.
   // ---------------------------------------------------------------------
 
-  struct TerminalRecord {
-    std::vector<uint32_t> order;  // DFS address: per-element segment index
-    ComposeState st;
+  // One stitched segment as the walk hands it to its callback.
+  struct SegmentRecord {
+    std::vector<uint32_t> order;  // DFS address, ending at this segment
+    ComposeState st;              // the path state after the segment
+    size_t elem = 0;
+    const ElementSummary* sum = nullptr;
     const Segment* seg = nullptr;
+    const Stitched* stitched = nullptr;
+    // An Emit into a downstream element; otherwise the segment ends a
+    // composed path (a terminal: Drop, Trap, or Emit leaving the pipeline).
+    bool continues = false;
   };
-  using TerminalFn = std::function<void(size_t worker, TerminalRecord&&)>;
-  using VisitFn = std::function<bool(size_t elem)>;
 
-  // A truncated summary or an exhausted path budget ends the walk; tasks
-  // check both before every segment.
-  bool stopped() const { return truncated_ || budget_exhausted_; }
+  // One traversal's rules and state. Its path budget and flags are its
+  // own, so a refinement walk cannot spend or truncate the property call
+  // that runs it.
+  struct Walk {
+    WorkQueue& queue;
+    Precision precision;
+    uint64_t max_paths;  // composed terminal paths before giving up
+    // Whether to enter element `elem` at `depth` (elements before it on
+    // the path). Prunes only the subtree below a continuing segment: the
+    // segment itself is still stitched and seen by on_segment.
+    std::function<bool(size_t elem, size_t depth)> visit;
+    // Sees every stitched segment. A terminal's record is the callback's
+    // to keep; a continuing one is then handed on to its subtree.
+    std::function<void(size_t worker, SegmentRecord& rec)> on_segment;
+    bool writes = false;  // stitch KV writes (state-site collection)
+    // A Trap segment whose stitched constraint folds to false counts as an
+    // eliminated suspect: the paper's p1 case, where (in < 0) ∧ (0 < 0)
+    // collapses syntactically.
+    bool count_traps = true;
+    std::atomic<uint64_t> paths{0};
+    std::atomic<bool> truncated{false};  // a summary was truncated
+    std::atomic<bool> exhausted{false};  // max_paths exceeded
+    std::atomic<bool> done{false};       // the callback ended the walk
 
-  // Counts one composed path; false (with the budget flag set) once
-  // max_composed_paths is exceeded.
-  bool count_path() {
-    const uint64_t done =
-        paths_checked_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (done <= cfg.max_composed_paths) return true;
-    budget_exhausted_ = true;
-    return false;
+    bool stopped() const { return truncated || exhausted || done; }
+
+    // Counts one terminal; false (with `exhausted` set) past max_paths.
+    bool count_path() {
+      if (paths.fetch_add(1, std::memory_order_relaxed) < max_paths) {
+        return true;
+      }
+      exhausted = true;
+      return false;
+    }
+  };
+
+  // Runs `walk` from element 0 and returns once its task tree has drained.
+  void run_walk(const pipeline::Pipeline& pl, Walk& walk, ComposeState root) {
+    if (walk.visit(0, 0)) {
+      walk.queue.submit(
+          [this, &pl, &walk, st = std::move(root)](size_t w) mutable {
+            walk_task(pl, walk, 0, std::move(st), {}, w);
+          });
+    }
+    walk.queue.wait_idle();
   }
 
-  // Walks every composed path from element 0 and returns once the whole
-  // task tree has drained. `should_visit` prunes subtrees (e.g. elements
-  // that cannot reach a suspect).
-  void walk_paths(const pipeline::Pipeline& pl, ComposeState root,
-                  const TerminalFn& on_terminal, const VisitFn& should_visit,
-                  Precision precision) {
-    queue.submit([this, &pl, st = std::move(root), &on_terminal,
-                  &should_visit, precision](size_t w) mutable {
-      walk_task(pl, 0, std::move(st), {}, w, on_terminal, should_visit,
-                precision);
-    });
-    queue.wait_idle();
-  }
-
-  void walk_task(const pipeline::Pipeline& pl, size_t elem, ComposeState st,
-                 std::vector<uint32_t> order, size_t worker,
-                 const TerminalFn& on_terminal, const VisitFn& should_visit,
-                 Precision precision) {
-    if (stopped() || !should_visit(elem)) return;
+  void walk_task(const pipeline::Pipeline& pl, Walk& walk, size_t elem,
+                 ComposeState st, std::vector<uint32_t> order, size_t worker) {
+    if (walk.stopped()) return;
     VerifyStats& ws = wstats_[worker];
-    const ElementSummary& sum = summary_for(pl, elem, st.pkt->bytes.size(),
-                                            precision, pool.at(worker), ws);
+    const ElementSummary& sum =
+        summary_for(pl, elem, st.pkt->bytes.size(), walk.precision,
+                    pool.at(worker), ws);
     if (sum.truncated) {
-      truncated_ = true;
+      walk.truncated = true;
       return;
     }
     for (uint32_t i = 0; i < sum.segments.size(); ++i) {
-      if (stopped()) return;
+      if (walk.stopped()) return;
       const Segment& g = sum.segments[i];
-      const bool is_emit = g.action == SegAction::Emit;
-      const std::optional<size_t> down =
-          is_emit ? pl.downstream(elem, g.port) : std::nullopt;
-      auto expanded = expand_segment(sum, g, st, elem, down, ws);
-      if (!expanded) continue;
-      std::vector<uint32_t> corder = order;
-      corder.push_back(i);
-      if (is_emit && down.has_value()) {
-        queue.submit([this, &pl, d = *down, n = std::move(*expanded),
-                      o = std::move(corder), &on_terminal, &should_visit,
-                      precision](size_t w) mutable {
-          walk_task(pl, d, std::move(n), std::move(o), w, on_terminal,
-                    should_visit, precision);
-        });
+      std::optional<size_t> down;
+      if (g.action == SegAction::Emit) down = pl.downstream(elem, g.port);
+      ExprRef c;
+      const Stitched* s = instantiate(elem, sum, g, st, down.has_value(),
+                                      walk.writes, &c);
+      if (s == nullptr) {
+        if (g.action == SegAction::Trap && walk.count_traps) {
+          ++ws.suspects_eliminated;
+        }
         continue;
       }
-      if (!count_path()) return;
-      on_terminal(worker,
-                  TerminalRecord{std::move(corder), std::move(*expanded), &g});
+      SegmentRecord rec{order, next_state(st, *s, g, std::move(c), elem),
+                        elem, &sum, &g, s, down.has_value()};
+      rec.order.push_back(i);
+      if (!rec.continues && !walk.count_path()) return;
+      walk.on_segment(worker, rec);
+      if (!down || !walk.visit(*down, order.size() + 1)) continue;
+      walk.queue.submit([this, &pl, &walk, d = *down, n = std::move(rec.st),
+                         o = std::move(rec.order)](size_t w) mutable {
+        walk_task(pl, walk, d, std::move(n), std::move(o), w);
+      });
     }
   }
 
@@ -592,9 +617,6 @@ class DecomposedVerifier::Impl {
       prog_hash_[e] = ir::program_hash(pl.element(e).model_program());
     }
     begin_cache_context(pl);
-    paths_checked_.store(0, std::memory_order_relaxed);
-    truncated_ = false;
-    budget_exhausted_ = false;
     refine_cache_.clear();
     stitch_memo_.clear();
     states_.clear();
@@ -622,14 +644,14 @@ class DecomposedVerifier::Impl {
   // itself, and the CONTENT of the elements that material touches — never
   // the whole pipeline. That locality is the service's payoff: resubmit a
   // spec with one element edited and only decisions whose path crosses the
-  // edit re-derive; every other path warm-hits. Domain tags keep the three
-  // entry families (suspect decisions, feasibility speculations,
-  // refinements) disjoint even for coincidentally identical material. The
+  // edit re-derive; every other path warm-hits. Domain tags keep the two
+  // entry families (suspect decisions, refinements) disjoint even for
+  // coincidentally identical material; context-free feasibility verdicts
+  // are the solver's own memo (Solver::set_feasibility_memo). The
   // avoidance flags, job count, and incremental mode are deliberately NOT
   // keyed: they are verdict-invariant by design, so any of those runs may
   // share entries.
   static constexpr uint64_t kFpSuspect = 0x5059ec7f1a7c15ull;
-  static constexpr uint64_t kFpFeasible = 0xfea51b1e0a7c15ull;
   static constexpr uint64_t kFpRefine = 0x5ef19e0f2b7c15ull;
 
   uint64_t call_hi_ = 0, call_lo_ = 0;
@@ -647,7 +669,9 @@ class DecomposedVerifier::Impl {
     // differences already produce different keys; keying the mode keeps
     // even a diagnostic-name collision between modes from aliasing.
     fp.mix(static_cast<uint64_t>(cfg.loop_mode));
-    fp.mix(cfg.unroll_fallback ? 1 : 0);
+    // The unroll fallback is always on; mixing it keeps the key bytes, so
+    // existing cache directories still hit.
+    fp.mix(1);
     call_hi_ = fp.hi();
     call_lo_ = fp.lo();
     elem_fp_.assign(pl.size(), 0);
@@ -688,16 +712,6 @@ class DecomposedVerifier::Impl {
     return fp;
   }
 
-  cache::Fingerprint feasible_fingerprint(const ExprRef& c) const {
-    cache::Fingerprint fp;
-    fp.mix(kFpFeasible);
-    // Satisfiability of a constraint is a property of the expression
-    // alone — no pipeline or call context needed, so these entries are
-    // shared across every pipeline that composes the same formula.
-    fp.mix_expr(c);
-    return fp;
-  }
-
   cache::Fingerprint refine_fingerprint(const TerminalSpec& tspec,
                                         const ExprRef& root_constraint,
                                         const std::vector<size_t>& trace)
@@ -724,37 +738,11 @@ class DecomposedVerifier::Impl {
     return fp;
   }
 
-  // Feasibility speculation (instruction-bound driver) through the
-  // persistent cache: both polarities are reusable here — acting on Sat
-  // needs no model, because the witness comes from a separate one-shot
-  // solve on the winning path only.
-  solver::Result cached_feasible(const ExprRef& c, solver::Solver& sv,
-                                 VerifyStats& vstats) {
-    if (cfg.decision_cache != nullptr) {
-      const cache::Fingerprint fp = feasible_fingerprint(c);
-      bool sat = false;
-      if (cfg.decision_cache->lookup_decision(fp.hi(), fp.lo(), &sat)) {
-        ++vstats.decision_cache_hits;
-        return sat ? solver::Result::Sat : solver::Result::Unsat;
-      }
-      ++vstats.solver_queries;
-      const solver::Result r = sv.check_feasible(c);
-      if (r != solver::Result::Unknown) {
-        cfg.decision_cache->store_decision(fp.hi(), fp.lo(),
-                                           r == solver::Result::Sat);
-      }
-      return r;
-    }
-    ++vstats.solver_queries;
-    return sv.check_feasible(c);
-  }
-
   // Final per-call stats: every worker's driver counters plus the
   // solver-layer totals of every worker's solver.
   VerifyStats snapshot_stats() {
     VerifyStats out;
     for (const VerifyStats& s : wstats_) out += s;
-    out.composed_paths_checked = paths_checked_.load(std::memory_order_relaxed);
     for (size_t w = 0; w < pool.size(); ++w) {
       const solver::CheckStats& cs = pool.at(w).stats();
       out.sat_conflicts += cs.sat_conflicts;
@@ -919,53 +907,19 @@ class DecomposedVerifier::Impl {
     Counterexample ce;  // valid when res == Sat
   };
 
-  // Exact (unrolled) summaries for the refinement come from a dedicated
-  // cache whose executor carries the refinement's wall-clock budget: a
-  // loop-heavy element that cannot be unrolled within the budget yields a
-  // truncated summary (-> the refinement gives up as Unknown) instead of
-  // hanging, and never pollutes the unbudgeted unroll cache.
-  symbex::SharedSummaryCache& cache_refine_mem() {
-    return cfg.shared_caches ? cfg.shared_caches->refine : own_caches_.refine;
-  }
-
-  const ElementSummary& refine_summary(const pipeline::Pipeline& pl,
-                                       size_t elem, size_t len,
-                                       solver::Solver& sv,
-                                       VerifyStats& vstats) {
-    symbex::ExecOptions eo;
-    eo.loop_mode = symbex::LoopMode::Unroll;
-    eo.fork_check = symbex::ForkCheck::Solver;
-    eo.solver = &sv;
-    eo.time_budget_seconds = cfg.refine_time_budget_seconds;
-    if (cfg.refine_max_instructions != 0) {
-      eo.max_instructions = cfg.refine_max_instructions;
-    }
-    eo.max_solver_checks = cfg.refine_max_solver_checks;
-    symbex::Executor exec(eo);
-    bool was_miss = false;
-    const ElementSummary& s =
-        cache_refine_mem().get(pl.element(elem).model_program(),
-                               prog_hash_[elem], len, exec, &was_miss);
-    if (was_miss) {
-      ++vstats.elements_summarized;
-      vstats.segments_total += s.segments.size();
-      vstats.instructions_interpreted += s.stats.instructions_interpreted;
-      vstats.forks += s.stats.forks;
-    } else {
-      ++vstats.summary_cache_hits;
-    }
-    return s;
-  }
-
+  // The exact re-walk: the one walk at Precision::Refine on a one-job
+  // queue (DFS order, on the main solver at any job count), entering only
+  // the trace's elements in trace order. Every terminal it reaches counts
+  // against max_refine_paths; the violating exits of the trace's last
+  // element are re-decided, and the first certified one ends the walk.
   RefineOutcome refine_summarized_path(const pipeline::Pipeline& pl,
                                        const TerminalSpec& tspec,
                                        const SymPacket& entry,
                                        const ExprRef& root_constraint,
-                                       const std::vector<size_t>& trace,
-                                       solver::Solver& sv,
-                                       VerifyStats& vstats) {
+                                       const std::vector<size_t>& trace) {
     RefineOutcome out;
-    if (!cfg.unroll_fallback || trace.empty()) return out;
+    if (trace.empty()) return out;
+    VerifyStats& vstats = main_stats();
     ++vstats.refinements_attempted;
     obs::ScopedSpan sp(obs::Cat::Refine, "refine_path");
     if (sp) {
@@ -977,90 +931,64 @@ class DecomposedVerifier::Impl {
       sp.arg("path", std::move(path));
       obs::count("verify.refinements_attempted");
     }
-    uint64_t paths = 0;
-    bool gave_up = false;  // budget/truncation: result stays Unknown
     bool solver_unknown = false;
+    WorkQueue sequential(1);
+    Walk walk{sequential, Precision::Refine, cfg.max_refine_paths,
+              [&trace](size_t elem, size_t depth) {
+                return depth < trace.size() && trace[depth] == elem;
+              },
+              nullptr, /*writes=*/false,
+              /*count_traps=*/tspec.trap_is_violation};
+    // Set once the walk exists, since it ends the walk. Any violating exit
+    // of the last element is re-decided: wrong-port emits leaving the
+    // pipeline, drops, and traps alike. Any of them can be routed here
+    // when an upstream element's summarized loop over-approximated the
+    // stitched constraint (the suspect element's own drop/trap
+    // constraints were already exact, but the path prefix feeding them
+    // was not).
+    walk.on_segment = [&](size_t /*w*/, SegmentRecord& t) {
+      if (t.continues || t.order.size() != trace.size() ||
+          !terminal_violates(tspec, t.seg->action, t.seg->port)) {
+        return;
+      }
+      bv::Assignment model;
+      std::string note;
+      const solver::Result r =
+          decide_suspect(pl, t.st, &model, &note, main_solver(), vstats);
+      if (r == solver::Result::Unknown) {
+        solver_unknown = true;
+        return;
+      }
+      if (r == solver::Result::Unsat) {
+        ++vstats.suspects_eliminated;
+        return;
+      }
+      out.res = solver::Result::Sat;
+      out.ce = make_counterexample(
+          pl, entry, t.st, model,
+          t.seg->action == SegAction::Trap ? t.seg->trap
+                                           : ir::TrapKind::Unreachable,
+          std::move(note));
+      // Annotate without flipping requires_sequence: a refined model
+      // satisfies exact constraints and replays as a single packet
+      // (unless the KV analysis above also flagged it).
+      const char* refined_note =
+          "certified by per-path unroll refinement (summarized loop "
+          "re-executed unrolled along this path)";
+      out.ce.state_note = out.ce.state_note.empty()
+                              ? refined_note
+                              : out.ce.state_note + "; " + refined_note;
+      walk.done = true;
+    };
     ComposeState root = root_state(entry);
     root.constraint = root_constraint;
-    const std::function<void(size_t, ComposeState)> go =
-        [&](size_t depth, ComposeState st) {
-          if (out.res == solver::Result::Sat || gave_up) return;
-          const size_t elem = trace[depth];
-          const ElementSummary& sum =
-              refine_summary(pl, elem, st.pkt->bytes.size(), sv, vstats);
-          if (sum.truncated) {
-            gave_up = true;
-            return;
-          }
-          const bool last = depth + 1 == trace.size();
-          for (const Segment& g : sum.segments) {
-            if (out.res == solver::Result::Sat || gave_up) return;
-            const bool is_emit = g.action == SegAction::Emit;
-            const std::optional<size_t> down =
-                is_emit ? pl.downstream(elem, g.port) : std::nullopt;
-            if (!last) {
-              // Interior step: follow only Emit edges into the trace's
-              // next element.
-              if (!is_emit || !down || *down != trace[depth + 1]) continue;
-              auto expanded = expand_segment(sum, g, st, elem, down, vstats);
-              if (!expanded) continue;
-              if (++paths > cfg.max_refine_paths) {
-                gave_up = true;
-                return;
-              }
-              go(depth + 1, std::move(*expanded));
-              continue;
-            }
-            // The trace's terminal element: re-decide every violating
-            // exit exactly — wrong-port emits leaving the pipeline, drops,
-            // and traps alike. Any of them can be routed here when an
-            // upstream element's summarized loop over-approximated the
-            // stitched constraint (the suspect element's own drop/trap
-            // constraints were already exact, but the path prefix feeding
-            // them was not).
-            if (is_emit && down.has_value()) continue;  // not a terminal
-            if (!terminal_violates(tspec, g.action, g.port)) continue;
-            auto expanded = expand_segment(sum, g, st, elem, down, vstats);
-            if (!expanded) continue;
-            if (++paths > cfg.max_refine_paths) {
-              gave_up = true;
-              return;
-            }
-            bv::Assignment model;
-            std::string note;
-            const solver::Result r =
-                decide_suspect(pl, *expanded, &model, &note, sv, vstats);
-            if (r == solver::Result::Unknown) {
-              solver_unknown = true;
-              continue;
-            }
-            if (r == solver::Result::Unsat) {
-              ++vstats.suspects_eliminated;
-              continue;
-            }
-            out.res = solver::Result::Sat;
-            out.ce = make_counterexample(pl, entry, *expanded, model,
-                                         g.action == SegAction::Trap
-                                             ? g.trap
-                                             : ir::TrapKind::Unreachable,
-                                         std::move(note));
-            // Annotate without flipping requires_sequence: a refined model
-            // satisfies exact constraints and replays as a single packet
-            // (unless the KV analysis above also flagged it).
-            const char* refined_note =
-                "certified by per-path unroll refinement (summarized loop "
-                "re-executed unrolled along this path)";
-            out.ce.state_note = out.ce.state_note.empty()
-                                    ? refined_note
-                                    : out.ce.state_note + "; " + refined_note;
-          }
-        };
-    go(0, std::move(root));
+    run_walk(pl, walk, std::move(root));
     if (out.res == solver::Result::Sat) {
       ++vstats.refinements_certified;
       return out;
     }
-    if (gave_up || solver_unknown) return out;  // Unknown
+    // Budget or truncation: the result stays Unknown.
+    if (walk.stopped() || solver_unknown) return out;
     out.res = solver::Result::Unsat;  // every exact exit infeasible
     ++vstats.refinements_eliminated;
     return out;
@@ -1077,7 +1005,6 @@ class DecomposedVerifier::Impl {
                                      const SymPacket& entry,
                                      const ExprRef& root_constraint,
                                      const std::vector<size_t>& trace,
-                                     solver::Solver& sv, VerifyStats& vstats,
                                      bool* first) {
     const auto it = refine_cache_.find(trace);
     if (it != refine_cache_.end()) {
@@ -1096,12 +1023,11 @@ class DecomposedVerifier::Impl {
       bool sat = false;
       RefineOutcome ro;
       if (cfg.decision_cache->lookup_refine(fp.hi(), fp.lo(), &sat, &ro.ce)) {
-        ++vstats.refine_cache_hits;
+        ++main_stats().refine_cache_hits;
         ro.res = sat ? solver::Result::Sat : solver::Result::Unsat;
         return refine_cache_.emplace(trace, std::move(ro)).first->second;
       }
-      ro = refine_summarized_path(pl, tspec, entry, root_constraint, trace,
-                                  sv, vstats);
+      ro = refine_summarized_path(pl, tspec, entry, root_constraint, trace);
       if (ro.res != solver::Result::Unknown) {
         cfg.decision_cache->store_refine(
             fp.hi(), fp.lo(), ro.res == solver::Result::Sat, ro.ce);
@@ -1110,8 +1036,7 @@ class DecomposedVerifier::Impl {
     }
     return refine_cache_
         .emplace(trace, refine_summarized_path(pl, tspec, entry,
-                                               root_constraint, trace, sv,
-                                               vstats))
+                                               root_constraint, trace))
         .first->second;
   }
 
@@ -1146,75 +1071,6 @@ class DecomposedVerifier::Impl {
     return state_writes_memo_
         .emplace(key, symbex::summarize_state(pl.element(elem).model_program(), sum))
         .first->second;
-  }
-
-  // DFS over the composed pipeline collecting every insert site of the
-  // counted elements. `filter` prunes subtrees that cannot reach a
-  // counted element.
-  void collect_state_sites(const pipeline::Pipeline& pl, size_t elem,
-                           ComposeState st, const std::vector<bool>& counted,
-                           const std::vector<bool>& filter,
-                           std::vector<PathInsertSite>* out) {
-    if (!filter[elem] || stopped()) return;
-    const ElementSummary& sum =
-        summary_for(pl, elem, st.pkt->bytes.size(), Precision::AcceptBounds,
-                    main_solver(), main_stats());
-    if (sum.truncated) {
-      truncated_ = true;
-      return;
-    }
-    // The element's state summary classifies which writes of which
-    // segments can insert; only those are stitched below.
-    const symbex::StateSummary* ss = nullptr;
-    if (counted[elem]) {
-      const symbex::StateSummary& s =
-          element_state_at(pl, elem, st.pkt->bytes.size(), sum);
-      if (s.insert_site_count() > 0) ss = &s;
-    }
-    for (size_t si = 0; si < sum.segments.size(); ++si) {
-      const Segment& g = sum.segments[si];
-      if (stopped()) return;
-      const bool is_emit = g.action == SegAction::Emit;
-      const std::optional<size_t> down =
-          is_emit ? pl.downstream(elem, g.port) : std::nullopt;
-      const bool continues = is_emit && down.has_value();
-      if (!continues && ss == nullptr) continue;
-      ExprRef c;
-      const Stitched* inst =
-          instantiate(elem, sum, g, st, continues, ss != nullptr, &c);
-      if (inst == nullptr) continue;
-      ComposeState next = next_state(st, *inst, c, elem);
-      if (ss != nullptr) {
-        for (const symbex::TableStateSummary& ts : ss->tables) {
-          for (const symbex::StateSite& site_in : ts.inserts) {
-            if (site_in.segment != si) continue;
-            const auto& wr = inst->kv_writes.at(site_in.write_index);
-            // Stitching only folds further: a write whose stitched value
-            // is now provably 0 is an eviction after all.
-            if (symbex::is_evict_write(wr.value)) continue;
-            // An entry is live only when the written value is non-zero;
-            // folding it into the guard forces enumeration models to
-            // choose genuinely-live insertions, so certification replay
-            // counts exactly what enumeration counted.
-            const ExprRef live = bv::mk_land(
-                c, bv::mk_ne(wr.value, bv::mk_const(0, wr.value->width())));
-            if (live->is_false()) continue;
-            PathInsertSite site;
-            site.elem = elem;
-            site.table = ts.table;
-            site.guard = live;
-            site.key = wr.key;
-            site.kv_reads = next.kv_reads;
-            out->push_back(std::move(site));
-          }
-        }
-      }
-      if (continues) {
-        if (!count_path()) return;
-        collect_state_sites(pl, *down, std::move(next), counted, filter,
-                            out);
-      }
-    }
   }
 
   StateBoundReport bounded_state(const pipeline::Pipeline& pl,
@@ -1254,15 +1110,45 @@ class DecomposedVerifier::Impl {
     ComposeState root = root_state(entry);
     root.constraint = predicate(entry);
 
-    // Steps 1+2: stitch every insert site onto its pipeline paths. Like
-    // the enumeration below, whose every query depends on the keys found
-    // so far, this runs on the caller at any job count.
+    // Steps 1+2: stitch every insert site onto its pipeline paths, in DFS
+    // order: the enumeration below, whose every query depends on the keys
+    // found so far, visits sites in the order collected. So the walk runs
+    // on a one-job queue, on the caller, at any job count. It enters only
+    // elements that can reach a counted element; the element state
+    // summary classifies which writes of which segments can insert.
     std::vector<PathInsertSite> sites;
-    {
-      const std::vector<bool> filter = reachability_filter(pl, counted);
-      collect_state_sites(pl, 0, std::move(root), counted, filter, &sites);
-    }
-    if (stopped()) return finish(report, Verdict::Unknown, timer);
+    const auto collect = [&](size_t, SegmentRecord& t) {
+      if (!counted[t.elem]) return;
+      const symbex::StateSummary& ss =
+          element_state_at(pl, t.elem, t.sum->packet_len, *t.sum);
+      for (const symbex::TableStateSummary& ts : ss.tables) {
+        for (const symbex::StateSite& site_in : ts.inserts) {
+          if (site_in.segment != t.order.back()) continue;
+          const auto& wr = t.stitched->kv_writes.at(site_in.write_index);
+          // Stitching only folds further: a write whose stitched value is
+          // now provably 0 is an eviction after all.
+          if (symbex::is_evict_write(wr.value)) continue;
+          // An entry is live only when the written value is non-zero;
+          // folding it into the guard forces enumeration models to choose
+          // genuinely-live insertions, so certification replay counts
+          // exactly what enumeration counted.
+          const ExprRef live = bv::mk_land(
+              t.st.constraint,
+              bv::mk_ne(wr.value, bv::mk_const(0, wr.value->width())));
+          if (live->is_false()) continue;
+          sites.push_back(
+              PathInsertSite{t.elem, ts.table, live, wr.key, t.st.kv_reads});
+        }
+      }
+    };
+    const std::vector<bool> filter = reachability_filter(pl, counted);
+    WorkQueue sequential(1);
+    Walk walk{sequential, Precision::AcceptBounds, cfg.max_composed_paths,
+              [&filter](size_t elem, size_t) { return filter[elem]; },
+              collect, /*writes=*/true, /*count_traps=*/false};
+    run_walk(pl, walk, std::move(root));
+    main_stats().composed_paths_checked = walk.paths;
+    if (walk.stopped()) return finish(report, Verdict::Unknown, timer);
 
     // Step 3: enumerate distinct feasible keys per (element, table) with
     // blocking clauses. Each Sat model is one injectable packet creating
@@ -1490,11 +1376,6 @@ class DecomposedVerifier::Impl {
     return std::move(report);
   }
 
-  Verdict walk_verdict(bool violated) const {
-    if (violated) return Verdict::Violated;
-    return stopped() ? Verdict::Unknown : Verdict::Proven;
-  }
-
   // ---------------------------------------------------------------------
   // Property drivers
   // ---------------------------------------------------------------------
@@ -1509,11 +1390,12 @@ class DecomposedVerifier::Impl {
   // counterexample. It may set *sat_is_unknown for suspects whose Sat
   // outcome cannot certify a violation (over-approximated constraints):
   // those re-decide on the per-path unroll refinement against `tspec` and
-  // the root constraint, or degrade to Unknown. Returns the violated flag.
-  bool decide_suspects(
+  // the root constraint, or degrade to Unknown.
+  Verdict decide_suspects(
       const pipeline::Pipeline& pl, ComposeState root, const SymPacket& entry,
-      const VisitFn& should_visit, Precision precision,
-      const std::function<bool(const TerminalRecord&, size_t worker,
+      std::function<bool(size_t elem, size_t depth)> visit,
+      Precision precision,
+      const std::function<bool(const SegmentRecord&, size_t worker,
                                ir::TrapKind* trap, bool* sat_is_unknown)>&
           is_suspect,
       const TerminalSpec& tspec, std::vector<Counterexample>* counterexamples) {
@@ -1527,42 +1409,44 @@ class DecomposedVerifier::Impl {
     const ExprRef root_constraint = root.constraint;
     std::mutex out_mu;
     std::vector<Outcome> outcomes;
-    walk_paths(
-        pl, std::move(root),
-        [&](size_t w, TerminalRecord&& t) {
-          ir::TrapKind trap = ir::TrapKind::Unreachable;
-          bool sat_unknown = false;
-          if (!is_suspect(t, w, &trap, &sat_unknown)) return;
-          bv::Assignment model;
-          std::string note;
-          const solver::Result r =
-              decide_suspect(pl, t.st, &model, &note, pool.at(w), wstats_[w]);
-          if (r == solver::Result::Unsat) {
-            ++wstats_[w].suspects_eliminated;
-            return;
-          }
-          Outcome o;
-          o.order = std::move(t.order);
-          o.res = r;
-          o.sat_is_unknown = sat_unknown;
-          if (r == solver::Result::Sat && !sat_unknown) {
-            o.ce = make_counterexample(pl, entry, t.st, model, trap,
-                                       std::move(note));
-          } else if (r == solver::Result::Sat) {
-            o.trace = t.st.elem_trace;
-          }
-          std::lock_guard<std::mutex> lock(out_mu);
-          outcomes.push_back(std::move(o));
-        },
-        should_visit, precision);
+    const auto decide = [&](size_t w, SegmentRecord& t) {
+      ir::TrapKind trap = ir::TrapKind::Unreachable;
+      bool sat_unknown = false;
+      if (t.continues || !is_suspect(t, w, &trap, &sat_unknown)) return;
+      bv::Assignment model;
+      std::string note;
+      const solver::Result r =
+          decide_suspect(pl, t.st, &model, &note, pool.at(w), wstats_[w]);
+      if (r == solver::Result::Unsat) {
+        ++wstats_[w].suspects_eliminated;
+        return;
+      }
+      Outcome o;
+      o.order = std::move(t.order);
+      o.res = r;
+      o.sat_is_unknown = sat_unknown;
+      if (r == solver::Result::Sat && !sat_unknown) {
+        o.ce = make_counterexample(pl, entry, t.st, model, trap,
+                                   std::move(note));
+      } else if (r == solver::Result::Sat) {
+        o.trace = t.st.elem_trace;
+      }
+      std::lock_guard<std::mutex> lock(out_mu);
+      outcomes.push_back(std::move(o));
+    };
+    Walk walk{queue, precision, cfg.max_composed_paths, std::move(visit),
+              decide};
+    run_walk(pl, walk, std::move(root));
+    main_stats().composed_paths_checked = walk.paths;
     std::sort(outcomes.begin(), outcomes.end(), [](const Outcome& a,
                                                    const Outcome& b) {
       return a.order < b.order;
     });
     bool violated = false;
+    bool unknown = walk.stopped();
     for (Outcome& o : outcomes) {
       if (o.res == solver::Result::Unknown) {
-        truncated_ = true;
+        unknown = true;
         continue;
       }
       if (o.sat_is_unknown) {
@@ -1571,20 +1455,20 @@ class DecomposedVerifier::Impl {
         // Suspects sharing a trace pay for and report one refinement.
         bool first = false;
         const RefineOutcome& ro =
-            refine_cached(pl, tspec, entry, root_constraint, o.trace,
-                          main_solver(), main_stats(), &first);
+            refine_cached(pl, tspec, entry, root_constraint, o.trace, &first);
         if (ro.res == solver::Result::Sat) {
           violated = true;
           if (first) counterexamples->push_back(ro.ce);
         } else if (ro.res == solver::Result::Unknown) {
-          truncated_ = true;
+          unknown = true;
         }
         continue;  // Unsat: certified infeasible once unrolled
       }
       violated = true;
       counterexamples->push_back(std::move(o.ce));
     }
-    return violated;
+    if (violated) return Verdict::Violated;
+    return unknown ? Verdict::Unknown : Verdict::Proven;
   }
 
   CrashFreedomReport crash_freedom(const pipeline::Pipeline& pl) {
@@ -1630,10 +1514,11 @@ class DecomposedVerifier::Impl {
     TerminalSpec crash_tspec;
     crash_tspec.drop_is_violation = false;
     crash_tspec.trap_is_violation = true;
-    const bool violated = decide_suspects(
-        pl, root_state(entry), entry, [&](size_t e) { return filter[e]; },
+    const Verdict verdict = decide_suspects(
+        pl, root_state(entry), entry,
+        [&filter](size_t e, size_t) { return filter[e]; },
         Precision::AcceptBounds,
-        [](const TerminalRecord& t, size_t /*w*/, ir::TrapKind* trap,
+        [](const SegmentRecord& t, size_t /*w*/, ir::TrapKind* trap,
            bool* sat_unknown) {
           if (t.seg->action != SegAction::Trap) return false;
           *trap = t.seg->trap;
@@ -1641,7 +1526,7 @@ class DecomposedVerifier::Impl {
           return true;
         },
         crash_tspec, &report.counterexamples);
-    return finish(report, walk_verdict(violated), timer);
+    return finish(report, verdict, timer);
   }
 
   InstructionBoundReport instruction_bound(const pipeline::Pipeline& pl) {
@@ -1667,18 +1552,20 @@ class DecomposedVerifier::Impl {
     };
     std::mutex rec_mu;
     std::vector<Rec> recs;
-    walk_paths(
-        pl, root_state(entry),
-        [&](size_t /*w*/, TerminalRecord&& t) {
-          Rec r;
-          r.order = std::move(t.order);
-          r.total = t.st.count;
-          r.is_bound = t.st.count_is_bound;
-          r.constraint = t.st.constraint;
-          std::lock_guard<std::mutex> lock(rec_mu);
-          recs.push_back(std::move(r));
-        },
-        [](size_t) { return true; }, Precision::AcceptBounds);
+    Walk walk{queue, Precision::AcceptBounds, cfg.max_composed_paths,
+              [](size_t, size_t) { return true; },
+              [&](size_t /*w*/, SegmentRecord& t) {
+                if (t.continues) return;
+                Rec r;
+                r.order = std::move(t.order);
+                r.total = t.st.count;
+                r.is_bound = t.st.count_is_bound;
+                r.constraint = t.st.constraint;
+                std::lock_guard<std::mutex> lock(rec_mu);
+                recs.push_back(std::move(r));
+              }};
+    run_walk(pl, walk, root_state(entry));
+    main_stats().composed_paths_checked = walk.paths;
 
     std::sort(recs.begin(), recs.end(),
               [](const Rec& a, const Rec& b) { return a.order < b.order; });
@@ -1715,8 +1602,8 @@ class DecomposedVerifier::Impl {
       if (batch.empty()) break;
       std::vector<solver::Result> res(batch.size(), solver::Result::Unknown);
       parallel_for(queue, batch.size(), [&](size_t bi, size_t w) {
-        res[bi] = cached_feasible(recs[batch[bi]].constraint, pool.at(w),
-                                  wstats_[w]);
+        ++wstats_[w].solver_queries;
+        res[bi] = pool.at(w).check_feasible(recs[batch[bi]].constraint);
       });
       for (size_t bi = 0; bi < batch.size(); ++bi) {
         Rec& r = recs[batch[bi]];
@@ -1741,7 +1628,7 @@ class DecomposedVerifier::Impl {
     // finite conflict budget that fresh solve can come back Unknown even
     // though the incremental context already proved the path feasible; no
     // witness is derivable then, so the verdict honestly degrades.
-    const bool already_unknown = stopped() || saw_unknown;
+    const bool already_unknown = walk.stopped() || saw_unknown;
     solver::CheckResult witness_model;
     if (best_constraint && !already_unknown) {
       witness_model = main_solver().check(best_constraint);
@@ -1805,10 +1692,10 @@ class DecomposedVerifier::Impl {
       report.seconds = timer.seconds();
       return report;
     }
-    const bool violated = decide_suspects(
-        pl, std::move(root), entry, [](size_t) { return true; },
+    const Verdict verdict = decide_suspects(
+        pl, std::move(root), entry, [](size_t, size_t) { return true; },
         Precision::ExactDropsTraps,
-        [this, &tspec](const TerminalRecord& t, size_t w, ir::TrapKind* trap,
+        [this, &tspec](const SegmentRecord& t, size_t w, ir::TrapKind* trap,
                        bool* sat_unknown) {
           if (!terminal_violates(tspec, t.seg->action, t.seg->port)) {
             return false;
@@ -1820,7 +1707,7 @@ class DecomposedVerifier::Impl {
           return true;
         },
         tspec, &report.counterexamples);
-    return finish(report, walk_verdict(violated), timer);
+    return finish(report, verdict, timer);
   }
 
   ComposedPaths enumerate_paths(const pipeline::Pipeline& pl) {
@@ -1834,30 +1721,31 @@ class DecomposedVerifier::Impl {
     };
     std::mutex item_mu;
     std::vector<Item> items;
-    walk_paths(
-        pl, root_state(out.entry),
-        [&](size_t /*w*/, TerminalRecord&& t) {
-          Item it;
-          it.order = std::move(t.order);
-          it.path.constraint = t.st.constraint;
-          for (const size_t e : t.st.elem_trace) {
-            it.path.element_path.push_back(pl.element(e).name());
-          }
-          it.path.action = t.seg->action;
-          it.path.port = t.seg->port;
-          it.path.trap = t.seg->trap;
-          it.path.instr_count = t.st.count;
-          it.path.count_is_bound = t.st.count_is_bound;
-          std::lock_guard<std::mutex> lock(item_mu);
-          items.push_back(std::move(it));
-        },
-        [](size_t) { return true; }, Precision::ExactAll);
+    Walk walk{queue, Precision::ExactAll, cfg.max_composed_paths,
+              [](size_t, size_t) { return true; },
+              [&](size_t /*w*/, SegmentRecord& t) {
+                if (t.continues) return;
+                Item it;
+                it.order = std::move(t.order);
+                it.path.constraint = t.st.constraint;
+                for (const size_t e : t.st.elem_trace) {
+                  it.path.element_path.push_back(pl.element(e).name());
+                }
+                it.path.action = t.seg->action;
+                it.path.port = t.seg->port;
+                it.path.trap = t.seg->trap;
+                it.path.instr_count = t.st.count;
+                it.path.count_is_bound = t.st.count_is_bound;
+                std::lock_guard<std::mutex> lock(item_mu);
+                items.push_back(std::move(it));
+              }};
+    run_walk(pl, walk, root_state(out.entry));
 
     std::sort(items.begin(), items.end(),
               [](const Item& a, const Item& b) { return a.order < b.order; });
     out.paths.reserve(items.size());
     for (Item& it : items) out.paths.push_back(std::move(it.path));
-    out.complete = !stopped();
+    out.complete = !walk.stopped();
     return out;
   }
 
@@ -1866,11 +1754,6 @@ class DecomposedVerifier::Impl {
   // ir::program_hash of every element's model program, computed once per
   // call in begin_call; read-only while workers run.
   std::vector<uint64_t> prog_hash_;
-
-  // Per-call walk state, shared by every worker.
-  std::atomic<uint64_t> paths_checked_{0};
-  std::atomic<bool> truncated_{false};
-  std::atomic<bool> budget_exhausted_{false};
 };
 
 // ---------------------------------------------------------------------
@@ -1893,7 +1776,7 @@ DecomposedVerifier::DecomposedVerifier(DecomposedConfig config)
 DecomposedVerifier::~DecomposedVerifier() = default;
 
 symbex::SharedSummaryCache& DecomposedVerifier::cache() {
-  return impl_->cache_summarize();
+  return impl_->caches().summarize;
 }
 solver::Solver& DecomposedVerifier::solver() { return impl_->main_solver(); }
 const DecomposedConfig& DecomposedVerifier::config() const {

@@ -30,11 +30,12 @@ namespace vsd::verify {
 
 class PathDecisionCache;  // verify/decision_cache.hpp
 
-// The three in-memory Step-1 summary caches, bundled so a long-lived host
-// (the serve daemon) can keep them warm across verifier instances: element
-// summaries are request-independent, and sharing them makes every request
-// after the first skip straight to Step 2. A verifier given a bundle uses
-// it instead of its private per-instance caches.
+// The three in-memory Step-1 summary caches (summarize, unroll, and the
+// refinement's budgeted unroll), bundled so a long-lived host (the serve
+// daemon) can keep them warm across verifier instances: element summaries
+// are request-independent, and sharing them makes every request after the
+// first skip straight to Step 2. A verifier given a bundle uses it instead
+// of its private per-instance caches.
 struct SummaryCaches {
   symbex::SharedSummaryCache summarize;
   symbex::SharedSummaryCache unroll;
@@ -45,22 +46,18 @@ struct DecomposedConfig {
   // Packet length for the symbolic input ("in is a symbolic bit vector").
   size_t packet_len = 64;
   symbex::LoopMode loop_mode = symbex::LoopMode::Summarize;
-  // When a summarized loop yields suspects, re-verify that element with
-  // unrolling before concluding (precision fallback).
-  bool unroll_fallback = true;
-  // Budget for Step 2 path stitching.
+  // Budget for Step 2 path stitching: composed paths (terminals) per walk.
   uint64_t max_composed_paths = 1u << 20;
-  // Conflict budget per SAT query.
-  uint64_t max_solver_conflicts = 1u << 22;
   // Bounded-state verification: cap on distinct keys enumerated per call
   // (the occupancy decision is an enumerate-up-to-N+1 procedure; bounds
   // beyond this budget come back Unknown rather than running forever on an
   // unbounded table).
   uint64_t max_state_keys = 1u << 12;
-  // Per-path unroll refinement (reach/never): when a wrong-port-emit
-  // suspect on a summarized-loop path is Sat but uncertifiable, re-walk
-  // just that element trace with loops concretely unrolled, spending at
-  // most this many exact composed paths before giving up as Unknown.
+  // Per-path unroll refinement: when a suspect on a summarized-loop path
+  // is Sat but uncertifiable, re-walk just that element trace with loops
+  // concretely unrolled, counting at most this many composed paths
+  // (terminals reached along the trace, violating or not) before giving
+  // up as Unknown.
   uint64_t max_refine_paths = 1u << 14;
   // Wall-clock budget for each exact (unrolled) element summarization the
   // refinement requests. Unrolling a loop-heavy element at MTU-ish packet
@@ -98,11 +95,11 @@ struct DecomposedConfig {
   // packet bytes stay byte-identical at any `jobs` value either way; off
   // reproduces the pre-incremental one-shot behavior for A/B measurement.
   // Caveat, analogous to the path-budget one on the parallel walk: if a
-  // query actually exhausts max_solver_conflicts, WHETHER it does can
-  // depend on the live context's history, which at jobs > 1 depends on
-  // scheduling — a budget-exhaustion Unknown is sound but not
+  // query actually exhausts its conflict budget (2^22 conflicts), WHETHER
+  // it does can depend on the live context's history, which at jobs > 1
+  // depends on scheduling — a budget-exhaustion Unknown is sound but not
   // reproducible. Within the budget (tier-1 workloads sit orders of
-  // magnitude below the default) results are fully deterministic.
+  // magnitude below it) results are fully deterministic.
   bool incremental = true;
   // Query avoidance (Solver::set_avoidance): small-domain exhaustion,
   // unsat-core grouping (including the stitched-suspect front-run),
@@ -113,9 +110,10 @@ struct DecomposedConfig {
   bool avoidance = true;
   // Persistent cross-run decision cache (cache::VerdictCache over an
   // on-disk store). When set, Step-2 suspect decisions that previously
-  // came back Unsat, feasibility speculations, and whole per-path unroll
-  // refinements are answered from the cache instead of the solver —
-  // verdicts and counterexample bytes stay byte-identical either way
+  // came back Unsat and whole per-path unroll refinements are answered
+  // from the cache instead of the solver, and every solver's memo rung
+  // stores its feasibility verdicts there (Solver::set_feasibility_memo)
+  // — verdicts and counterexample bytes stay byte-identical either way
   // (Sat suspects always re-solve for a fresh model; refine outcomes
   // persist their certified counterexample verbatim). Not owned.
   PathDecisionCache* decision_cache = nullptr;

@@ -27,8 +27,10 @@
 #include "cache/fingerprint.hpp"
 #include "cache/store.hpp"
 #include "cache/verdict_cache.hpp"
+#include "elements/registry.hpp"
 #include "spec/check.hpp"
 #include "spec/parser.hpp"
+#include "verify/decomposed.hpp"
 #include "verify/report.hpp"
 
 namespace vsd::cache {
@@ -376,6 +378,41 @@ TEST_F(CacheTest, WarmReportsAreByteIdenticalAcrossTheJobsIncrementalMatrix) {
       }
     }
   }
+}
+
+TEST_F(CacheTest, BoundFeasibilityPersistsOnlyInTheSolverMemo) {
+  // The instruction-bound speculation's feasibility verdicts are stored
+  // once, by the solver's memo rung: a cold run writes exactly the memo's
+  // entries, and a warm rerun's memo hits seed the uid cache, so only the
+  // witness model is solved again.
+  const auto run = [this](uint64_t* memo_stores) {
+    const pipeline::Pipeline pl = elements::parse_pipeline(
+        "Classifier -> EthDecap -> CheckIPHeader -> "
+        "IPLookup(10.0.0.0/8 0, 192.168.0.0/16 1) -> DecIPTTL");
+    VerdictCache cache(dir_.string());
+    verify::DecomposedConfig cfg;
+    cfg.packet_len = 64;
+    cfg.decision_cache = &cache;
+    verify::DecomposedVerifier v(cfg);
+    const verify::InstructionBoundReport r = v.verify_instruction_bound(pl);
+    *memo_stores = v.solver().stats().memo_stores;
+    return r;
+  };
+  uint64_t memo_stores = 0;
+  const verify::InstructionBoundReport cold = run(&memo_stores);
+  size_t entries = 0;
+  for (const auto& f : fs::recursive_directory_iterator(dir_)) {
+    if (f.is_regular_file()) ++entries;
+  }
+  EXPECT_EQ(entries, 23u);
+  EXPECT_EQ(entries, memo_stores);
+  const verify::InstructionBoundReport warm = run(&memo_stores);
+  EXPECT_EQ(memo_stores, 0u);
+  EXPECT_EQ(warm.stats.sat_solves, 1u);  // the witness model
+  EXPECT_EQ(warm.verdict, cold.verdict);
+  EXPECT_EQ(warm.max_instructions, cold.max_instructions);
+  ASSERT_TRUE(cold.witness.has_value() && warm.witness.has_value());
+  EXPECT_EQ(warm.witness->hex(), cold.witness->hex());
 }
 
 TEST_F(CacheTest, WarmHitsCrossJobCountAndIncrementalMode) {

@@ -343,6 +343,20 @@ TEST(StatsAggregation, InvariantAcrossJobsAndIncrementalModes) {
   }
 }
 
+TEST(StatsAggregation, RefinementSummariesAreCountedInObs) {
+  // The refinement's exact summaries go through the same summary source
+  // as every other walk, so obs counts each one the stats count.
+  TracerGuard guard;
+  obs::enable(true);
+  const verify::CrashFreedomReport r = run_refine_workload(1, true);
+  obs::enable(false);
+  ASSERT_GE(r.stats.refinements_attempted, 1u);
+  const std::map<std::string, uint64_t> counters = obs::counters_snapshot();
+  ASSERT_EQ(counters.count("verify.elements_summarized"), 1u);
+  EXPECT_EQ(counters.at("verify.elements_summarized"),
+            r.stats.elements_summarized);
+}
+
 // Pin the jobs=1 totals of the refinement workload: aggregation
 // regressions (a dropped snapshot, a double merge) move these numbers.
 // If a legitimate engine change moves them, update the constants — the

@@ -152,9 +152,15 @@ TEST(BoundedState, ElementFilterScopesTheCount) {
   verify::StateBoundSpec counter_only;
   counter_only.element = "Counter";
   counter_only.bound = 2;
-  EXPECT_EQ(
-      v.verify_bounded_state(pl, any_packet(), counter_only).verdict,
-      Verdict::Proven);
+  // Counter's writes sit on the segment that emits into NetFlow, which
+  // the filter prunes: the walk must prune only the subtree below that
+  // segment, never the segment and its insert sites.
+  const verify::StateBoundReport counter =
+      v.verify_bounded_state(pl, any_packet(), counter_only);
+  EXPECT_EQ(counter.verdict, Verdict::Proven);
+  EXPECT_EQ(counter.occupancy, 2u);
+  ASSERT_EQ(counter.tables.size(), 1u);
+  EXPECT_EQ(counter.tables[0].keys_found, 2u);
   verify::StateBoundSpec whole;
   whole.bound = 4;
   EXPECT_EQ(v.verify_bounded_state(pl, any_packet(), whole).verdict,

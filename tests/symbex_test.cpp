@@ -385,12 +385,17 @@ TEST(SymbexLoop, IpOptionsSummarizeIsTrapFreeAndTerminating) {
 // --- summaries -----------------------------------------------------------------
 
 TEST(Summary, CacheHitsOnSameProgram) {
-  SummaryCache cache;
+  SharedSummaryCache cache;
   Executor exec;
   const ir::Program a = elements::make_toy_e1();
   const ir::Program b = elements::make_toy_e1();  // same structure
-  (void)cache.get(a, 8, exec);
-  (void)cache.get(b, 8, exec);
+  bool miss = false;
+  const ElementSummary& sa = cache.get(a, 8, exec, &miss);
+  EXPECT_TRUE(miss);
+  // Keyed by structural hash: the separately built twin shares the entry.
+  const ElementSummary& sb = cache.get(b, 8, exec, &miss);
+  EXPECT_FALSE(miss);
+  EXPECT_EQ(&sa, &sb);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   // Different packet length is a different verification task.
