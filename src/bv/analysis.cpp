@@ -1,95 +1,75 @@
 #include "bv/analysis.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <functional>
+#include <unordered_set>
 
 namespace vsd::bv {
 
-namespace {
+ExprRef Substituter::operator()(const ExprRef& e) {
+  if (sub_.empty()) return e;
+  return rewrite(e);
+}
 
-// Bottom-up rewriting with a memo table keyed by node identity.
-class Substituter {
- public:
-  explicit Substituter(const Substitution& sub) : sub_(sub) {}
+ExprRef Substituter::rewrite(const ExprRef& e) {
+  auto it = memo_.find(e.get());
+  if (it != memo_.end()) return it->second;
+  const ExprRef out = rewrite_uncached(e);
+  memo_.emplace(e.get(), out);
+  return out;
+}
 
-  ExprRef rewrite(const ExprRef& e) {
-    auto it = memo_.find(e->uid());
-    if (it != memo_.end()) return it->second;
-    ExprRef out = rewrite_uncached(e);
-    memo_.emplace(e->uid(), out);
-    return out;
-  }
-
- private:
-  ExprRef rewrite_uncached(const ExprRef& e) {
-    switch (e->kind()) {
-      case Kind::Const:
-        return e;
-      case Kind::Var: {
-        auto it = sub_.find(e->var_id());
-        if (it == sub_.end()) return e;
-        assert(it->second->width() == e->width());
-        return it->second;
-      }
-      default:
-        break;
+ExprRef Substituter::rewrite_uncached(const ExprRef& e) {
+  switch (e->kind()) {
+    case Kind::Const:
+      return e;
+    case Kind::Var: {
+      auto it = sub_.find(e->var_id());
+      if (it == sub_.end()) return e;
+      assert(it->second->width() == e->width());
+      return it->second;
     }
-    std::vector<ExprRef> ops;
-    ops.reserve(e->num_operands());
-    bool changed = false;
-    for (size_t i = 0; i < e->num_operands(); ++i) {
-      ExprRef r = rewrite(e->operand(i));
-      changed = changed || r.get() != e->operand(i).get();
-      ops.push_back(std::move(r));
-    }
-    if (!changed) return e;
-    return rebuild(e, ops);
+    default:
+      break;
   }
-
-  static ExprRef rebuild(const ExprRef& e, const std::vector<ExprRef>& ops) {
-    switch (e->kind()) {
-      case Kind::Not: return mk_not(ops[0]);
-      case Kind::Neg: return mk_neg(ops[0]);
-      case Kind::Add: return mk_add(ops[0], ops[1]);
-      case Kind::Sub: return mk_sub(ops[0], ops[1]);
-      case Kind::Mul: return mk_mul(ops[0], ops[1]);
-      case Kind::UDiv: return mk_udiv(ops[0], ops[1]);
-      case Kind::URem: return mk_urem(ops[0], ops[1]);
-      case Kind::And: return mk_and(ops[0], ops[1]);
-      case Kind::Or: return mk_or(ops[0], ops[1]);
-      case Kind::Xor: return mk_xor(ops[0], ops[1]);
-      case Kind::Shl: return mk_shl(ops[0], ops[1]);
-      case Kind::LShr: return mk_lshr(ops[0], ops[1]);
-      case Kind::AShr: return mk_ashr(ops[0], ops[1]);
-      case Kind::Eq: return mk_eq(ops[0], ops[1]);
-      case Kind::Ult: return mk_ult(ops[0], ops[1]);
-      case Kind::Ule: return mk_ule(ops[0], ops[1]);
-      case Kind::Slt: return mk_slt(ops[0], ops[1]);
-      case Kind::Sle: return mk_sle(ops[0], ops[1]);
-      case Kind::ZExt: return mk_zext(ops[0], e->width());
-      case Kind::SExt: return mk_sext(ops[0], e->width());
-      case Kind::Extract:
-        return mk_extract(ops[0], e->extract_lo(), e->width());
-      case Kind::Concat: return mk_concat(ops[0], ops[1]);
-      case Kind::Ite: return mk_ite(ops[0], ops[1], ops[2]);
-      case Kind::Const:
-      case Kind::Var:
-        break;
-    }
-    return e;
+  std::array<ExprRef, Expr::kMaxOperands> ops;
+  bool changed = false;
+  for (size_t i = 0; i < e->num_operands(); ++i) {
+    ops[i] = rewrite(e->operand(i));
+    changed = changed || ops[i] != e->operand(i);
   }
-
-  const Substitution& sub_;
-  std::unordered_map<uint64_t, ExprRef> memo_;
-};
-
-}  // namespace
-
-ExprRef substitute(const ExprRef& e, const Substitution& sub) {
-  if (sub.empty()) return e;
-  Substituter s(sub);
-  return s.rewrite(e);
+  if (!changed) return e;
+  switch (e->kind()) {
+    case Kind::Not: return mk_not(ops[0]);
+    case Kind::Neg: return mk_neg(ops[0]);
+    case Kind::Add: return mk_add(ops[0], ops[1]);
+    case Kind::Sub: return mk_sub(ops[0], ops[1]);
+    case Kind::Mul: return mk_mul(ops[0], ops[1]);
+    case Kind::UDiv: return mk_udiv(ops[0], ops[1]);
+    case Kind::URem: return mk_urem(ops[0], ops[1]);
+    case Kind::And: return mk_and(ops[0], ops[1]);
+    case Kind::Or: return mk_or(ops[0], ops[1]);
+    case Kind::Xor: return mk_xor(ops[0], ops[1]);
+    case Kind::Shl: return mk_shl(ops[0], ops[1]);
+    case Kind::LShr: return mk_lshr(ops[0], ops[1]);
+    case Kind::AShr: return mk_ashr(ops[0], ops[1]);
+    case Kind::Eq: return mk_eq(ops[0], ops[1]);
+    case Kind::Ult: return mk_ult(ops[0], ops[1]);
+    case Kind::Ule: return mk_ule(ops[0], ops[1]);
+    case Kind::Slt: return mk_slt(ops[0], ops[1]);
+    case Kind::Sle: return mk_sle(ops[0], ops[1]);
+    case Kind::ZExt: return mk_zext(ops[0], e->width());
+    case Kind::SExt: return mk_sext(ops[0], e->width());
+    case Kind::Extract:
+      return mk_extract(ops[0], e->extract_lo(), e->width());
+    case Kind::Concat: return mk_concat(ops[0], ops[1]);
+    case Kind::Ite: return mk_ite(ops[0], ops[1], ops[2]);
+    case Kind::Const:
+    case Kind::Var:
+      break;
+  }
+  return e;
 }
 
 namespace {
@@ -193,33 +173,35 @@ uint64_t evaluate(const ExprRef& e, const Assignment& assignment) {
   return ev.eval(e);
 }
 
-std::vector<ExprRef> free_variables(const ExprRef& e) {
+std::optional<std::vector<ExprRef>> free_variables_within(const ExprRef& e,
+                                                          uint64_t max_bits) {
   std::vector<ExprRef> out;
-  std::unordered_map<uint64_t, bool> seen;
-  std::vector<ExprRef> stack{e};
-  std::unordered_map<uint64_t, bool> visited;
+  uint64_t bits = 0;
+  std::unordered_set<const Expr*> visited;
+  std::vector<const Expr*> stack{e.get()};
   while (!stack.empty()) {
-    ExprRef cur = stack.back();
+    const Expr* cur = stack.back();
     stack.pop_back();
-    if (visited.count(cur->uid()) != 0) continue;
-    visited.emplace(cur->uid(), true);
+    if (!visited.insert(cur).second) continue;
     if (cur->kind() == Kind::Var) {
-      if (seen.count(cur->var_id()) == 0) {
-        seen.emplace(cur->var_id(), true);
-        out.push_back(cur);
-      }
+      // mk_var mints one node per id, so distinct nodes are distinct vars.
+      bits += cur->width();
+      if (bits > max_bits) return std::nullopt;
+      out.push_back(ExprRef(cur));
       continue;
     }
-    for (size_t i = 0; i < cur->num_operands(); ++i) {
-      stack.push_back(cur->operand(i));
-    }
+    for (const ExprRef& op : cur->operands()) stack.push_back(op.get());
   }
-  // first-occurrence order: the stack walk is LIFO; re-sort by var id for a
-  // deterministic order instead (ids are allocation-ordered).
+  // Ids are allocation-ordered, so sorting by id gives a deterministic
+  // order independent of the walk.
   std::sort(out.begin(), out.end(), [](const ExprRef& a, const ExprRef& b) {
     return a->var_id() < b->var_id();
   });
   return out;
+}
+
+std::vector<ExprRef> free_variables(const ExprRef& e) {
+  return *free_variables_within(e, ~uint64_t{0});
 }
 
 size_t dag_size(const ExprRef& e) {

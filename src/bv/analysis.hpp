@@ -19,10 +19,28 @@ namespace vsd::bv {
 // Maps variable ids to replacement expressions (must match widths).
 using Substitution = std::unordered_map<uint64_t, ExprRef>;
 
-// Returns `e` with every Var whose id appears in `sub` replaced by the mapped
+// Applies one substitution to any number of expressions. Each call returns
+// `e` with every Var whose id appears in `sub` replaced by the mapped
 // expression; results are re-folded bottom-up so stitched constraints often
-// collapse to constants without any solver involvement.
-ExprRef substitute(const ExprRef& e, const Substitution& sub);
+// collapse to constants without any solver involvement. The memo of
+// rewritten nodes lasts across calls, so expressions that share subterms (a
+// segment's constraint, its KV records and its exit bytes) rewrite each
+// shared node once. `sub` must outlive the Substituter and stay unchanged
+// while it is used.
+class Substituter {
+ public:
+  explicit Substituter(const Substitution& sub) : sub_(sub) {}
+  explicit Substituter(Substitution&&) = delete;  // would dangle
+
+  ExprRef operator()(const ExprRef& e);
+
+ private:
+  ExprRef rewrite(const ExprRef& e);
+  ExprRef rewrite_uncached(const ExprRef& e);
+
+  const Substitution& sub_;
+  std::unordered_map<const Expr*, ExprRef> memo_;
+};
 
 // Maps variable ids to concrete values for evaluation.
 using Assignment = std::unordered_map<uint64_t, uint64_t>;
@@ -32,8 +50,14 @@ using Assignment = std::unordered_map<uint64_t, uint64_t>;
 // all-ones / identity per SMT-LIB bv semantics.
 uint64_t evaluate(const ExprRef& e, const Assignment& assignment);
 
-// Collects the distinct free variables of `e` in first-occurrence order.
+// Collects the distinct free variables of `e`, sorted by id.
 std::vector<ExprRef> free_variables(const ExprRef& e);
+
+// As free_variables, but gives up with nullopt as soon as the widths of the
+// variables found so far sum past `max_bits`, without walking the rest of
+// the DAG.
+std::optional<std::vector<ExprRef>> free_variables_within(const ExprRef& e,
+                                                          uint64_t max_bits);
 
 // Counts distinct DAG nodes reachable from `e` (diagnostic).
 size_t dag_size(const ExprRef& e);

@@ -1,8 +1,13 @@
 #include "bv/expr.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <initializer_list>
+#include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <new>
+#include <unordered_set>
+#include <vector>
 
 namespace vsd::bv {
 
@@ -68,69 +73,66 @@ int64_t sign_extend_64(uint64_t v, unsigned width) {
 }
 
 Expr::Expr(Kind kind, unsigned width, uint64_t value, unsigned aux,
-           std::string name, std::vector<ExprRef> ops, size_t hash,
+           const std::string* name, std::span<const ExprRef> ops, size_t hash,
            uint64_t uid)
-    : kind_(kind),
-      width_(width),
-      value_(value),
-      aux_(aux),
-      name_(std::move(name)),
-      ops_(std::move(ops)),
+    : value_(value),
       hash_(hash),
-      uid_(uid) {}
+      uid_(uid),
+      name_(name),
+      kind_(kind),
+      num_ops_(static_cast<uint8_t>(ops.size())),
+      width_(static_cast<uint16_t>(width)),
+      aux_(static_cast<uint16_t>(aux)) {
+  assert(ops.size() <= kMaxOperands);
+  std::copy(ops.begin(), ops.end(), ops_.begin());
+}
+
+const std::string& Expr::name() const {
+  static const std::string kNoName;
+  return name_ != nullptr ? *name_ : kNoName;
+}
 
 namespace {
-
-// Structural key used for interning. Variables are never interned (each
-// mk_var call mints a distinct symbol), so the key covers everything else.
-struct NodeKey {
-  Kind kind;
-  unsigned width;
-  uint64_t value;
-  unsigned aux;
-  std::vector<const Expr*> ops;
-
-  bool operator==(const NodeKey& o) const {
-    return kind == o.kind && width == o.width && value == o.value &&
-           aux == o.aux && ops == o.ops;
-  }
-};
 
 size_t hash_combine(size_t h, size_t v) {
   return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
 }
 
-struct NodeKeyHash {
-  size_t operator()(const NodeKey& k) const {
-    size_t h = hash_combine(static_cast<size_t>(k.kind),
-                            static_cast<size_t>(k.width));
-    h = hash_combine(h, static_cast<size_t>(k.value));
-    h = hash_combine(h, static_cast<size_t>(k.aux));
-    for (const Expr* e : k.ops) {
-      h = hash_combine(h, e->hash());
-    }
-    return h;
-  }
-};
+size_t node_hash(Kind kind, unsigned width, uint64_t value, unsigned aux,
+                 std::span<const ExprRef> ops) {
+  size_t h =
+      hash_combine(static_cast<size_t>(kind), static_cast<size_t>(width));
+  h = hash_combine(h, static_cast<size_t>(value));
+  h = hash_combine(h, static_cast<size_t>(aux));
+  for (const ExprRef& e : ops) h = hash_combine(h, e->hash());
+  return h;
+}
 
-// Process-wide interner. The dataplane verifier is single-threaded per
-// verification task; the mutex makes the pool safe if benches parallelize.
-class ExprPoolImpl {
+// Process-wide interner. Variables are never interned (each mk_var call
+// mints a distinct symbol), so the table holds every other node. Nodes are
+// placement-new'd into fixed-size chunks that are never freed or moved;
+// the table is open addressing with linear probing over (hash, node)
+// slots, doubled at half load. One mutex guards the table, the chunks, the
+// name storage and both id counters, so uids follow creation order.
+class ExprPool {
  public:
   ExprRef intern(Kind kind, unsigned width, uint64_t value, unsigned aux,
-                 std::vector<ExprRef> ops) {
-    NodeKey key{kind, width, value, aux, {}};
-    key.ops.reserve(ops.size());
-    for (const auto& o : ops) key.ops.push_back(o.get());
-    const size_t h = NodeKeyHash{}(key);
-
+                 std::span<const ExprRef> ops) {
+    const size_t h = node_hash(kind, width, value, aux, ops);
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = table_.find(key);
-    if (it != table_.end()) return it->second;
-    auto node = std::shared_ptr<const Expr>(
-        new Expr(kind, width, value, aux, "", std::move(ops), h, next_uid_++));
-    table_.emplace(std::move(key), node);
-    return node;
+    size_t i = home(h);
+    for (; slots_[i].node != nullptr; i = (i + 1) & (slots_.size() - 1)) {
+      const Expr* n = slots_[i].node;
+      if (slots_[i].hash == h && n->kind() == kind && n->width() == width &&
+          n->value() == value && n->extract_lo() == aux &&
+          std::ranges::equal(n->operands(), ops)) {
+        return ExprRef(n);
+      }
+    }
+    const Expr* node = place(kind, width, value, aux, nullptr, ops, h);
+    slots_[i] = Slot{h, node};
+    if (2 * ++interned_ > slots_.size()) grow();
+    return ExprRef(node);
   }
 
   ExprRef fresh_var(std::string name, unsigned width) {
@@ -139,33 +141,81 @@ class ExprPoolImpl {
     const size_t h =
         hash_combine(hash_combine(static_cast<size_t>(Kind::Var), width),
                      static_cast<size_t>(id));
-    return std::shared_ptr<const Expr>(new Expr(
-        Kind::Var, width, id, 0, std::move(name), {}, h, next_uid_++));
+    const std::string* stored = &*names_.insert(std::move(name)).first;
+    return ExprRef(place(Kind::Var, width, id, 0, stored, {}, h));
   }
 
   size_t size() {
     std::lock_guard<std::mutex> lock(mu_);
-    return table_.size();
+    return interned_;
   }
 
  private:
+  // Storage for one node, aligned so each node fills one cache line.
+  struct alignas(64) NodeStorage {
+    std::byte bytes[64];
+  };
+  static_assert(sizeof(Expr) <= sizeof(NodeStorage));
+  static constexpr size_t kChunkNodes = size_t{1} << 12;
+
+  struct Slot {
+    size_t hash = 0;
+    const Expr* node = nullptr;
+  };
+
+  // Fibonacci hashing: spreads every bit of the node hash over the index.
+  size_t home(size_t h) const {
+    return static_cast<size_t>((uint64_t{h} * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  const Expr* place(Kind kind, unsigned width, uint64_t value, unsigned aux,
+                    const std::string* name, std::span<const ExprRef> ops,
+                    size_t h) {
+    if (chunk_used_ == kChunkNodes) {
+      chunks_.push_back(
+          std::make_unique_for_overwrite<NodeStorage[]>(kChunkNodes));
+      chunk_used_ = 0;
+    }
+    void* at = &chunks_.back()[chunk_used_++];
+    return new (at) Expr(kind, width, value, aux, name, ops, h, next_uid_++);
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    --shift_;
+    for (const Slot& s : old) {
+      if (s.node == nullptr) continue;
+      size_t i = home(s.hash);
+      while (slots_[i].node != nullptr) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = s;
+    }
+  }
+
+  static constexpr unsigned kInitialLog2 = 10;
+
   std::mutex mu_;
-  std::unordered_map<NodeKey, ExprRef, NodeKeyHash> table_;
+  std::vector<Slot> slots_ = std::vector<Slot>(size_t{1} << kInitialLog2);
+  unsigned shift_ = 64 - kInitialLog2;
+  size_t interned_ = 0;
+  std::vector<std::unique_ptr<NodeStorage[]>> chunks_;
+  size_t chunk_used_ = kChunkNodes;
+  std::unordered_set<std::string> names_;  // node-based: pointers stay valid
   uint64_t next_var_id_ = 1;
   uint64_t next_uid_ = 1;
 };
 
-ExprPoolImpl& pool() {
-  static ExprPoolImpl* p = new ExprPoolImpl();  // intentionally immortal
+ExprPool& pool() {
+  static ExprPool* p = new ExprPool();  // intentionally immortal
   return *p;
 }
 
-ExprRef intern(Kind kind, unsigned width, std::vector<ExprRef> ops,
+ExprRef intern(Kind kind, unsigned width, std::initializer_list<ExprRef> ops,
                uint64_t value = 0, unsigned aux = 0) {
-  return pool().intern(kind, width, value, aux, std::move(ops));
+  return pool().intern(kind, width, value, aux, ops);
 }
 
-bool same(const ExprRef& a, const ExprRef& b) { return a.get() == b.get(); }
+bool same(const ExprRef& a, const ExprRef& b) { return a == b; }
 
 uint64_t all_ones(unsigned width) { return truncate_to_width(~uint64_t{0}, width); }
 

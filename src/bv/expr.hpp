@@ -6,18 +6,48 @@
 // Nodes are immutable and interned: structurally equal expressions are the
 // same object, so pointer equality is structural equality and the aggressive
 // constant folding in the factory functions deduplicates work globally.
+//
+// Nodes are immortal. Each one is a 64-byte record in a process-wide pool
+// that never frees or moves it, so an ExprRef is a plain pointer-sized
+// handle: copying one touches no reference count, and a handle stays valid
+// for the life of the process. Memory therefore grows with the number of
+// distinct nodes and variables ever built (one cache line each), which a
+// long-lived process such as `vsd serve` pays for every new expression it
+// sees. The interner is an open-addressing table behind one mutex; a hit
+// allocates nothing.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace vsd::bv {
 
 class Expr;
-using ExprRef = std::shared_ptr<const Expr>;
+
+// Handle to an interned node, or null. Trivially copyable; equality is node
+// identity, which hash-consing makes structural equality.
+class ExprRef {
+ public:
+  constexpr ExprRef() = default;
+  constexpr ExprRef(std::nullptr_t) {}
+  constexpr explicit ExprRef(const Expr* node) : node_(node) {}
+
+  const Expr* get() const { return node_; }
+  const Expr* operator->() const { return node_; }
+  const Expr& operator*() const { return *node_; }
+  explicit operator bool() const { return node_ != nullptr; }
+
+  friend bool operator==(ExprRef, ExprRef) = default;
+  friend bool operator==(ExprRef a, std::nullptr_t) {
+    return a.node_ == nullptr;
+  }
+
+ private:
+  const Expr* node_ = nullptr;
+};
 
 // Expression node kinds. Comparison kinds always produce width-1 results.
 enum class Kind : uint8_t {
@@ -54,6 +84,8 @@ bool is_comparison(Kind k);
 // Immutable interned node. Create only through the factory functions below.
 class Expr {
  public:
+  static constexpr size_t kMaxOperands = 3;
+
   Kind kind() const { return kind_; }
   unsigned width() const { return width_; }
 
@@ -62,14 +94,14 @@ class Expr {
 
   // Var payload.
   uint64_t var_id() const { return value_; }
-  const std::string& name() const { return name_; }
+  const std::string& name() const;
 
   // Extract payload: low bit index.
   unsigned extract_lo() const { return aux_; }
 
-  size_t num_operands() const { return ops_.size(); }
+  size_t num_operands() const { return num_ops_; }
   const ExprRef& operand(size_t i) const { return ops_[i]; }
-  std::span<const ExprRef> operands() const { return ops_; }
+  std::span<const ExprRef> operands() const { return {ops_.data(), num_ops_}; }
 
   bool is_const() const { return kind_ == Kind::Const; }
   bool is_const_value(uint64_t v) const {
@@ -83,21 +115,26 @@ class Expr {
   // Stable per-process id useful for memo tables keyed by node identity.
   uint64_t uid() const { return uid_; }
 
-  // Public only for the interner; use the mk_* factory functions.
+  // Public only for the interner; use the mk_* factory functions. `name`
+  // points into storage the pool owns (null for every kind but Var).
   Expr(Kind kind, unsigned width, uint64_t value, unsigned aux,
-       std::string name, std::vector<ExprRef> ops, size_t hash, uint64_t uid);
+       const std::string* name, std::span<const ExprRef> ops, size_t hash,
+       uint64_t uid);
 
  private:
-
-  Kind kind_;
-  unsigned width_;
+  std::array<ExprRef, kMaxOperands> ops_;
   uint64_t value_;  // Const value or Var id
-  unsigned aux_;    // Extract low index
-  std::string name_;
-  std::vector<ExprRef> ops_;
   size_t hash_;
   uint64_t uid_;
+  const std::string* name_;
+  Kind kind_;
+  uint8_t num_ops_;
+  uint16_t width_;
+  uint16_t aux_;  // Extract low index
 };
+
+// One cache line per node: the pool places nodes on 64-byte boundaries.
+static_assert(sizeof(Expr) <= 64);
 
 // Masks a value to `width` bits. width must be in [1, 64].
 uint64_t truncate_to_width(uint64_t v, unsigned width);
@@ -148,7 +185,8 @@ ExprRef mk_lnot(const ExprRef& a);
 // Conjunction of a list; empty list is `true`.
 ExprRef mk_land_all(std::span<const ExprRef> conjuncts);
 
-// Number of live interned nodes (diagnostics / tests).
+// Number of interned non-variable nodes (diagnostics / tests). Every node
+// is immortal, so the count never falls.
 size_t interned_node_count();
 
 }  // namespace vsd::bv

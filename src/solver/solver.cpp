@@ -244,12 +244,11 @@ void Solver::cache_verdict(uint64_t uid, Result res) {
 }
 
 bool Solver::try_exhaustive(const bv::ExprRef& e, Result* out) {
-  const std::vector<bv::ExprRef> vars = bv::free_variables(e);
+  const auto small = bv::free_variables_within(e, kSmallDomainBits);
+  if (!small) return false;
+  const std::vector<bv::ExprRef>& vars = *small;
   unsigned bits = 0;
-  for (const bv::ExprRef& v : vars) {
-    bits += v->width();
-    if (bits > kSmallDomainBits) return false;
-  }
+  for (const bv::ExprRef& v : vars) bits += v->width();
   ++stats_.exhaustion_decided;
   const uint64_t total = uint64_t{1} << bits;
   bv::Assignment asg;

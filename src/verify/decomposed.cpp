@@ -414,32 +414,33 @@ class DecomposedVerifier::Impl {
     for (const ExprRef& a : aux_vars(sum, g)) {
       sub.emplace(a->var_id(), bv::mk_var(a->name(), a->width()));
     }
+    // One memo for the whole entry: the constraint, KV records and exit
+    // bytes share most of their subterms.
+    bv::Substituter rebase(sub);
     Stitched s;
     PacketState out;
-    s.constraint = bv::substitute(g.constraint, sub);
+    s.constraint = rebase(g.constraint);
     const bool feasible = !s.constraint->is_false();
     if (feasible) {
       for (const auto& r : g.kv_reads) {
-        s.kv_reads.push_back(symbex::KvReadRecord{
-            r.table, bv::substitute(r.key, sub), bv::substitute(r.value, sub)});
+        s.kv_reads.push_back(
+            symbex::KvReadRecord{r.table, rebase(r.key), rebase(r.value)});
       }
       if (writes) {
         for (const auto& w : g.kv_writes) {
-          s.kv_writes.push_back(symbex::KvWriteRecord{
-              w.table, bv::substitute(w.key, sub),
-              bv::substitute(w.value, sub)});
+          s.kv_writes.push_back(
+              symbex::KvWriteRecord{w.table, rebase(w.key), rebase(w.value)});
         }
       }
     }
     if (feasible && continues) {
       out.bytes.reserve(g.exit_packet.size());
       for (const ExprRef& b : g.exit_packet.bytes()) {
-        out.bytes.push_back(bv::substitute(b, sub));
+        out.bytes.push_back(rebase(b));
       }
       for (size_t i = 0; i < net::kMetaSlots; ++i) {
-        out.meta[i] = g.exit_packet.meta(i)
-                          ? bv::substitute(g.exit_packet.meta(i), sub)
-                          : bv::mk_const(0, 32);
+        out.meta[i] = g.exit_packet.meta(i) ? rebase(g.exit_packet.meta(i))
+                                            : bv::mk_const(0, 32);
       }
     }
     std::lock_guard<std::mutex> lock(stitch_mu_);
@@ -798,8 +799,9 @@ class DecomposedVerifier::Impl {
         };
         rename_all(g.constraint);
         rename_all(wr.value);
-        const ExprRef writer_feasible = bv::substitute(g.constraint, sub);
-        const ExprRef written = bv::substitute(wr.value, sub);
+        bv::Substituter rename(sub);
+        const ExprRef writer_feasible = rename(g.constraint);
+        const ExprRef written = rename(wr.value);
         any = bv::mk_lor(
             any, bv::mk_land(writer_feasible,
                              bv::mk_eq(read.value, written)));
@@ -1539,11 +1541,11 @@ class DecomposedVerifier::Impl {
     // memory is O(paths): per terminal just the DFS address plus refs into
     // the (immortal, interned) constraint DAG, which dominates. On the
     // depth-14 `deep` chain (525,050 composed paths over its three
-    // assertions) peak RSS at jobs=1 is 298 MB (`vsd_e2e --cliff`). The
+    // assertions) peak RSS at jobs=1 is 114 MB (`vsd_e2e --cliff`). The
     // buffer's own share is small: it measured 549 MB against 547 MB for a
     // scan that decides each terminal as the walk reaches it, before the
-    // stitch memo halved the DAG. Revisit with streamed batches if budgets
-    // grow.
+    // stitch memo and 64-byte nodes shrank the DAG. Revisit with streamed
+    // batches if budgets grow.
     struct Rec {
       std::vector<uint32_t> order;
       uint64_t total = 0;

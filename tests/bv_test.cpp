@@ -1,10 +1,30 @@
 // Unit tests for the bit-vector expression layer: construction, folding,
-// substitution, evaluation, intervals, printing.
+// interning, substitution, evaluation, intervals, printing.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <thread>
+#include <type_traits>
 
 #include "bv/analysis.hpp"
 #include "bv/expr.hpp"
 #include "bv/printer.hpp"
+
+// Counts heap allocations made through operator new, so a test can pin
+// that an interner hit allocates nothing.
+namespace {
+std::atomic<size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vsd::bv {
 namespace {
@@ -18,6 +38,119 @@ TEST(BvConst, TruncatesToWidth) {
 TEST(BvConst, Interning) {
   EXPECT_EQ(mk_const(42, 16).get(), mk_const(42, 16).get());
   EXPECT_NE(mk_const(42, 16).get(), mk_const(42, 32).get());
+}
+
+TEST(BvInterner, HandleIsAPlainPointer) {
+  static_assert(std::is_trivially_copyable_v<ExprRef>);
+  static_assert(sizeof(ExprRef) == sizeof(const Expr*));
+  const ExprRef none;
+  EXPECT_FALSE(none);
+  EXPECT_EQ(none, nullptr);
+  const ExprRef x = mk_var("x", 8);
+  EXPECT_TRUE(x);
+  EXPECT_NE(x, nullptr);
+  EXPECT_EQ(ExprRef(x.get()), x);
+  EXPECT_EQ(&*x, x.get());
+}
+
+TEST(BvInterner, IdentitySurvivesTableGrowth) {
+  // Far more nodes than the table's initial capacity, so it doubles many
+  // times; rebuilding every node afterwards must find the original.
+  constexpr uint64_t kNodes = 100000;
+  const ExprRef x = mk_var("x", 32);
+  const size_t before = interned_node_count();
+  std::vector<ExprRef> built;
+  built.reserve(kNodes);
+  for (uint64_t i = 0; i < kNodes; ++i) {
+    built.push_back(mk_xor(x, mk_const(i + 1, 32)));
+  }
+  EXPECT_GE(interned_node_count() - before, kNodes);
+  size_t mismatches = 0;
+  for (uint64_t i = 0; i < kNodes; ++i) {
+    if (mk_xor(x, mk_const(i + 1, 32)) != built[i]) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(BvInterner, CountsEachNewDistinctNodeOnce) {
+  const ExprRef x = mk_var("x", 16);
+  size_t n = interned_node_count();
+  const ExprRef nx = mk_not(x);
+  EXPECT_EQ(interned_node_count(), n + 1);
+  EXPECT_EQ(mk_not(x), nx);  // hit
+  EXPECT_EQ(interned_node_count(), n + 1);
+  const ExprRef y = mk_var("y", 16);  // variables are never interned
+  EXPECT_EQ(interned_node_count(), n + 1);
+  const ExprRef sum = mk_add(x, y);
+  EXPECT_EQ(interned_node_count(), n + 2);
+  EXPECT_EQ(mk_add(x, y), sum);
+  EXPECT_NE(mk_add(y, x), sum);  // operand order is structure
+  EXPECT_EQ(interned_node_count(), n + 3);
+  n = interned_node_count();
+  EXPECT_EQ(mk_extract(sum, 3, 5), mk_extract(sum, 3, 5));
+  EXPECT_NE(mk_extract(sum, 3, 5), mk_extract(sum, 4, 5));
+  EXPECT_EQ(interned_node_count(), n + 2);
+}
+
+TEST(BvInterner, UidsFollowCreationOrderAcrossNodesAndVars) {
+  const ExprRef a = mk_var("a", 8);
+  const ExprRef na = mk_not(a);
+  const ExprRef b = mk_var("b", 8);
+  const ExprRef ab = mk_add(a, b);
+  const ExprRef c = mk_var("c", 8);
+  EXPECT_LT(a->uid(), na->uid());
+  EXPECT_LT(na->uid(), b->uid());
+  EXPECT_LT(b->uid(), ab->uid());
+  EXPECT_LT(ab->uid(), c->uid());
+  EXPECT_EQ(mk_not(a)->uid(), na->uid());  // a hit keeps its uid
+  EXPECT_LT(a->var_id(), b->var_id());
+}
+
+TEST(BvInterner, HitAllocatesNothing) {
+  const ExprRef x = mk_var("x", 32);
+  const ExprRef k = mk_const(7, 32);
+  const auto build = [&] {
+    return mk_ite(mk_ult(x, k), mk_add(x, k), mk_concat(mk_extract(x, 8, 8),
+                                                         mk_extract(x, 0, 24)));
+  };
+  const ExprRef e = build();
+  const size_t before = g_allocations.load();
+  const ExprRef again = build();
+  const size_t allocated = g_allocations.load() - before;
+  EXPECT_EQ(again, e);
+  EXPECT_EQ(allocated, 0u);
+}
+
+TEST(BvInterner, ConcurrentInterningAgreesOnIdentity) {
+  // Eight threads build the same expressions, each starting at a different
+  // offset so first builds race with hits; every thread must get the same
+  // handle for each expression.
+  constexpr size_t kThreads = 8;
+  constexpr uint64_t kExprs = 4000;
+  const ExprRef x = mk_var("x", 32);
+  const ExprRef y = mk_var("y", 32);
+  std::vector<std::vector<ExprRef>> got(kThreads,
+                                        std::vector<ExprRef>(kExprs));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t j = 0; j < kExprs; ++j) {
+        const uint64_t i = (j + t * kExprs / kThreads) % kExprs;
+        got[t][i] = mk_eq(mk_add(mk_mul(x, mk_const(i + 2, 32)), y),
+                          mk_const(i, 32));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  size_t mismatches = 0;
+  for (size_t t = 1; t < kThreads; ++t) {
+    for (uint64_t i = 0; i < kExprs; ++i) {
+      if (got[t][i] != got[0][i]) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(mk_eq(mk_add(mk_mul(x, mk_const(9, 32)), y), mk_const(7, 32)),
+            got[3][7]);
 }
 
 TEST(BvVar, FreshVariablesAreDistinct) {
@@ -182,7 +315,7 @@ TEST(BvSubstitute, ReplacesVariables) {
   Substitution sub;
   sub.emplace(x->var_id(), mk_const(5, 32));
   sub.emplace(y->var_id(), mk_const(3, 32));
-  EXPECT_TRUE(substitute(e, sub)->is_const_value(11));
+  EXPECT_TRUE(Substituter(sub)(e)->is_const_value(11));
 }
 
 TEST(BvSubstitute, FoldsAfterSubstitution) {
@@ -194,7 +327,7 @@ TEST(BvSubstitute, FoldsAfterSubstitution) {
   Substitution sub;
   sub.emplace(x->var_id(), mk_const(0, 32));
   const ExprRef stitched =
-      mk_land(mk_slt(in, mk_const(0, 32)), substitute(c3, sub));
+      mk_land(mk_slt(in, mk_const(0, 32)), Substituter(sub)(c3));
   EXPECT_TRUE(stitched->is_false());
 }
 
@@ -204,10 +337,50 @@ TEST(BvSubstitute, UntouchedVarsRemain) {
   const ExprRef e = mk_add(x, y);
   Substitution sub;
   sub.emplace(x->var_id(), mk_const(1, 8));
-  const ExprRef out = substitute(e, sub);
+  const ExprRef out = Substituter(sub)(e);
   const auto vars = free_variables(out);
   ASSERT_EQ(vars.size(), 1u);
   EXPECT_EQ(vars[0]->var_id(), y->var_id());
+}
+
+TEST(BvSubstitute, SubstituterSharesItsMemoAcrossCalls) {
+  const ExprRef x = mk_var("x", 8);
+  const ExprRef y = mk_var("y", 8);
+  const ExprRef z = mk_var("z", 8);
+  const ExprRef shared = mk_mul(mk_add(x, y), mk_xor(x, mk_const(3, 8)));
+  const ExprRef c = mk_ult(shared, y);
+  const ExprRef b = mk_sub(shared, mk_const(1, 8));
+  Substitution sub;
+  sub.emplace(x->var_id(), z);
+  sub.emplace(y->var_id(), mk_const(5, 8));
+  const ExprRef c1 = Substituter(sub)(c);
+  const ExprRef b1 = Substituter(sub)(b);
+  const size_t n = interned_node_count();
+  Substituter rebase(sub);
+  EXPECT_EQ(rebase(c), c1);
+  EXPECT_EQ(rebase(b), b1);
+  EXPECT_EQ(rebase(x), z);
+  EXPECT_EQ(interned_node_count(), n);
+  const Substitution empty;
+  Substituter none(empty);
+  EXPECT_EQ(none(c), c);
+}
+
+TEST(BvAnalysis, FreeVariablesWithinStopsPastTheBitLimit) {
+  const ExprRef a = mk_var("a", 4);
+  const ExprRef b = mk_var("b", 4);
+  const ExprRef c = mk_var("c", 8);
+  const ExprRef small = mk_eq(mk_add(b, a), mk_add(a, mk_const(1, 4)));
+  const auto within = free_variables_within(small, 10);
+  ASSERT_TRUE(within.has_value());
+  ASSERT_EQ(within->size(), 2u);  // a counted once, sorted by id
+  EXPECT_EQ((*within)[0], a);
+  EXPECT_EQ((*within)[1], b);
+  EXPECT_EQ(*within, free_variables(small));
+  const ExprRef big = mk_land(small, mk_eq(mk_zext(a, 8), c));
+  EXPECT_FALSE(free_variables_within(big, 10).has_value());
+  EXPECT_TRUE(free_variables_within(big, 16).has_value());
+  EXPECT_EQ(free_variables(big).size(), 3u);
 }
 
 TEST(BvEvaluate, MatchesSemantics) {
@@ -357,7 +530,7 @@ TEST_P(BvFuzzWidth, SubstituteConstantsEqualsEvaluate) {
     Substitution sub;
     sub.emplace(vars[0]->var_id(), mk_const(xv, w));
     sub.emplace(vars[1]->var_id(), mk_const(yv, w));
-    const ExprRef folded = substitute(e, sub);
+    const ExprRef folded = Substituter(sub)(e);
     ASSERT_TRUE(folded->is_const())
         << "width " << w << " iter " << iter
         << ": constant substitution did not fold";
