@@ -1,6 +1,7 @@
 #include "bv/expr.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <initializer_list>
 #include <memory>
@@ -108,100 +109,159 @@ size_t node_hash(Kind kind, unsigned width, uint64_t value, unsigned aux,
   return h;
 }
 
+// Storage for one node, aligned so each node fills one cache line.
+struct alignas(64) NodeStorage {
+  std::byte bytes[64];
+};
+static_assert(sizeof(Expr) <= sizeof(NodeStorage));
+
+// A run of free arena slots and the uid of its first one.
+struct SlotRun {
+  NodeStorage* next = nullptr;
+  NodeStorage* end = nullptr;
+  uint64_t uid = 1;
+};
+
+// The run the calling thread places its nodes in. Slots a thread leaves
+// unused when it exits stay unused.
+thread_local SlotRun t_block;
+
 // Process-wide interner. Variables are never interned (each mk_var call
-// mints a distinct symbol), so the table holds every other node. Nodes are
-// placement-new'd into fixed-size chunks that are never freed or moved;
-// the table is open addressing with linear probing over (hash, node)
-// slots, doubled at half load. One mutex guards the table, the chunks, the
-// name storage and both id counters, so uids follow creation order.
+// mints a distinct symbol), so the tables hold every other node.
+//
+// Striped: a node's hash picks one of kShards shards, each an
+// open-addressing table with linear probing over (hash, node) slots,
+// doubled at half load, behind its own mutex, so walk workers building
+// different nodes seldom wait for each other. A shard also stores the
+// names of variables whose name hashes to it.
+//
+// One arena: every node, interned or variable, is placed in fixed-size
+// chunks that are never freed or moved. A thread takes arena slots
+// kBlockNodes at a time under the arena mutex and fills them without a
+// lock; a node's uid is its arena slot index + 1. Blocks are carved in
+// increasing order, so each thread sees uids grow in its own creation
+// order, and a run where one thread builds every node places and numbers
+// nodes and variables exactly in creation order.
 class ExprPool {
  public:
   ExprRef intern(Kind kind, unsigned width, uint64_t value, unsigned aux,
                  std::span<const ExprRef> ops) {
     const size_t h = node_hash(kind, width, value, aux, ops);
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t i = home(h);
-    for (; slots_[i].node != nullptr; i = (i + 1) & (slots_.size() - 1)) {
-      const Expr* n = slots_[i].node;
-      if (slots_[i].hash == h && n->kind() == kind && n->width() == width &&
+    const uint64_t spread = spread_hash(h);
+    Shard& s = shards_[spread >> (64 - kShardBits)];
+    std::lock_guard<std::mutex> lock(s.mu);
+    size_t i = s.home(spread);
+    for (; s.slots[i].node != nullptr; i = (i + 1) & (s.slots.size() - 1)) {
+      const Expr* n = s.slots[i].node;
+      if (s.slots[i].hash == h && n->kind() == kind && n->width() == width &&
           n->value() == value && n->extract_lo() == aux &&
           std::ranges::equal(n->operands(), ops)) {
         return ExprRef(n);
       }
     }
     const Expr* node = place(kind, width, value, aux, nullptr, ops, h);
-    slots_[i] = Slot{h, node};
-    if (2 * ++interned_ > slots_.size()) grow();
+    s.slots[i] = Slot{h, node};
+    if (2 * ++s.interned > s.slots.size()) s.grow();
     return ExprRef(node);
   }
 
   ExprRef fresh_var(std::string name, unsigned width) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const uint64_t id = next_var_id_++;
+    const uint64_t id = next_var_id_.fetch_add(1, std::memory_order_relaxed);
     const size_t h =
         hash_combine(hash_combine(static_cast<size_t>(Kind::Var), width),
                      static_cast<size_t>(id));
-    const std::string* stored = &*names_.insert(std::move(name)).first;
+    Shard& s = shards_[std::hash<std::string>{}(name) & (kShards - 1)];
+    const std::string* stored;
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      stored = &*s.names.insert(std::move(name)).first;
+    }
     return ExprRef(place(Kind::Var, width, id, 0, stored, {}, h));
   }
 
   size_t size() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return interned_;
+    size_t total = 0;
+    for (Shard& s : shards_) {
+      std::lock_guard<std::mutex> lock(s.mu);
+      total += s.interned;
+    }
+    return total;
   }
 
  private:
-  // Storage for one node, aligned so each node fills one cache line.
-  struct alignas(64) NodeStorage {
-    std::byte bytes[64];
-  };
-  static_assert(sizeof(Expr) <= sizeof(NodeStorage));
+  static constexpr unsigned kShardBits = 6;
+  static constexpr size_t kShards = size_t{1} << kShardBits;
+  // 16 slots per shard: 1,024 in all before any shard grows.
+  static constexpr unsigned kShardInitialLog2 = 4;
   static constexpr size_t kChunkNodes = size_t{1} << 12;
+  static constexpr size_t kBlockNodes = 64;
+  static_assert(kChunkNodes % kBlockNodes == 0);
 
   struct Slot {
     size_t hash = 0;
     const Expr* node = nullptr;
   };
 
-  // Fibonacci hashing: spreads every bit of the node hash over the index.
-  size_t home(size_t h) const {
-    return static_cast<size_t>((uint64_t{h} * 0x9e3779b97f4a7c15ULL) >> shift_);
+  // Fibonacci hashing: spreads every bit of the node hash over the top
+  // bits, which pick the shard and then the home slot within it.
+  static uint64_t spread_hash(size_t h) {
+    return uint64_t{h} * 0x9e3779b97f4a7c15ULL;
   }
 
-  const Expr* place(Kind kind, unsigned width, uint64_t value, unsigned aux,
-                    const std::string* name, std::span<const ExprRef> ops,
-                    size_t h) {
+  struct Shard {
+    std::mutex mu;
+    std::vector<Slot> slots = std::vector<Slot>(size_t{1} << kShardInitialLog2);
+    unsigned shift = 64 - kShardInitialLog2;
+    size_t interned = 0;
+    std::unordered_set<std::string> names;  // node-based: pointers stay valid
+
+    size_t home(uint64_t spread) const {
+      return static_cast<size_t>((spread << kShardBits) >> shift);
+    }
+
+    void grow() {
+      std::vector<Slot> old(slots.size() * 2);
+      old.swap(slots);
+      --shift;
+      for (const Slot& s : old) {
+        if (s.node == nullptr) continue;
+        size_t i = home(spread_hash(s.hash));
+        while (slots[i].node != nullptr) i = (i + 1) & (slots.size() - 1);
+        slots[i] = s;
+      }
+    }
+  };
+
+  // Points `b` at the next kBlockNodes arena slots.
+  void refill(SlotRun* b) {
+    std::lock_guard<std::mutex> lock(arena_mu_);
     if (chunk_used_ == kChunkNodes) {
       chunks_.push_back(
           std::make_unique_for_overwrite<NodeStorage[]>(kChunkNodes));
       chunk_used_ = 0;
     }
-    void* at = &chunks_.back()[chunk_used_++];
-    return new (at) Expr(kind, width, value, aux, name, ops, h, next_uid_++);
+    b->next = &chunks_.back()[chunk_used_];
+    b->end = b->next + kBlockNodes;
+    b->uid = next_uid_;
+    chunk_used_ += kBlockNodes;
+    next_uid_ += kBlockNodes;
   }
 
-  void grow() {
-    std::vector<Slot> old(slots_.size() * 2);
-    old.swap(slots_);
-    --shift_;
-    for (const Slot& s : old) {
-      if (s.node == nullptr) continue;
-      size_t i = home(s.hash);
-      while (slots_[i].node != nullptr) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = s;
-    }
+  // Takes the calling thread's next arena slot; no lock but on a refill.
+  const Expr* place(Kind kind, unsigned width, uint64_t value, unsigned aux,
+                    const std::string* name, std::span<const ExprRef> ops,
+                    size_t h) {
+    SlotRun& b = t_block;
+    if (b.next == b.end) refill(&b);
+    void* at = b.next++;
+    return new (at) Expr(kind, width, value, aux, name, ops, h, b.uid++);
   }
 
-  static constexpr unsigned kInitialLog2 = 10;
-
-  std::mutex mu_;
-  std::vector<Slot> slots_ = std::vector<Slot>(size_t{1} << kInitialLog2);
-  unsigned shift_ = 64 - kInitialLog2;
-  size_t interned_ = 0;
+  std::array<Shard, kShards> shards_;
+  std::atomic<uint64_t> next_var_id_{1};
+  std::mutex arena_mu_;  // guards the chunks and next_uid_
   std::vector<std::unique_ptr<NodeStorage[]>> chunks_;
   size_t chunk_used_ = kChunkNodes;
-  std::unordered_set<std::string> names_;  // node-based: pointers stay valid
-  uint64_t next_var_id_ = 1;
   uint64_t next_uid_ = 1;
 };
 

@@ -13,8 +13,17 @@
 // for the life of the process. Memory therefore grows with the number of
 // distinct nodes and variables ever built (one cache line each), which a
 // long-lived process such as `vsd serve` pays for every new expression it
-// sees. The interner is an open-addressing table behind one mutex; a hit
-// allocates nothing.
+// sees. A hit allocates nothing.
+//
+// The interner is striped for the parallel walk: a node's hash picks one of
+// 64 shards, each an open-addressing table behind its own mutex, so
+// workers building different nodes seldom wait for each other. Every node
+// lives in one arena that hands each thread 64-node blocks; uid() is the
+// node's arena slot. Each thread therefore sees uids grow in the order it
+// creates nodes (uids of different threads interleave), and a run in which
+// one thread builds every node lays out nodes, uids and variable ids
+// exactly in creation order. Node hashes depend on structure and variable
+// ids only, never on the shard or the slot.
 #pragma once
 
 #include <array>
@@ -112,7 +121,9 @@ class Expr {
 
   size_t hash() const { return hash_; }
 
-  // Stable per-process id useful for memo tables keyed by node identity.
+  // Stable per-process id useful for memo tables keyed by node identity:
+  // the node's arena slot, so unique, and growing in creation order within
+  // each thread.
   uint64_t uid() const { return uid_; }
 
   // Public only for the interner; use the mk_* factory functions. `name`
@@ -185,8 +196,9 @@ ExprRef mk_lnot(const ExprRef& a);
 // Conjunction of a list; empty list is `true`.
 ExprRef mk_land_all(std::span<const ExprRef> conjuncts);
 
-// Number of interned non-variable nodes (diagnostics / tests). Every node
-// is immortal, so the count never falls.
+// Number of interned non-variable nodes (diagnostics / tests), summed over
+// the shards; exact once concurrent builders are done. Every node is
+// immortal, so the count never falls.
 size_t interned_node_count();
 
 }  // namespace vsd::bv

@@ -13,14 +13,21 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// The process-wide tracer state. A single mutex guards both stores; span
-// recording is one lock + one vector push, which is plenty for a tracing
-// layer (the hot paths only reach here when tracing is on).
+using CounterMap = std::unordered_map<const char*, uint64_t>;
+
+struct ThreadCounters;
+
+// The process-wide tracer state. One mutex guards the events, the counters
+// folded in from exited threads and the list of live threads' counter
+// blocks; span recording is one lock + one vector push, which is plenty
+// for a tracing layer (the hot paths only reach here when tracing is on).
+// Lock order: the tracer mutex, then a block's.
 struct Tracer {
   std::mutex mu;
   Clock::time_point epoch = Clock::now();
   std::vector<SpanEvent> events;
-  std::unordered_map<const char*, uint64_t> counters;
+  CounterMap counters;
+  std::vector<ThreadCounters*> blocks;
   uint64_t dropped = 0;
   // In-memory cap: a pathological run must not trade its verdict for an
   // OOM. Past the cap events are counted, not stored.
@@ -31,8 +38,40 @@ std::atomic<bool> g_enabled{false};
 thread_local uint32_t t_lane = 0;
 
 Tracer& tracer() {
-  static Tracer t;
-  return t;
+  static Tracer* t = new Tracer();  // immortal: threads fold into it at exit
+  return *t;
+}
+
+// One thread's counter block, registered with the tracer on first use and
+// folded into its counters when the thread exits. Only the owning thread
+// bumps the values; the block's own mutex, taken by other threads only to
+// snapshot or reset, keeps count() off the tracer mutex.
+struct ThreadCounters {
+  std::mutex mu;
+  CounterMap values;
+  bool registered = false;
+
+  ~ThreadCounters() {
+    if (!registered) return;
+    Tracer& t = tracer();
+    std::lock_guard<std::mutex> lock(t.mu);
+    std::lock_guard<std::mutex> block_lock(mu);
+    for (const auto& [name, value] : values) t.counters[name] += value;
+    std::erase(t.blocks, this);
+  }
+};
+thread_local ThreadCounters t_counters;
+
+// Every counter: the folded totals plus every live block. Caller holds
+// t.mu.
+std::map<std::string, uint64_t> merged_counters_locked(Tracer& t) {
+  std::map<std::string, uint64_t> out;
+  for (const auto& [name, value] : t.counters) out[name] += value;
+  for (ThreadCounters* b : t.blocks) {
+    std::lock_guard<std::mutex> lock(b->mu);
+    for (const auto& [name, value] : b->values) out[name] += value;
+  }
+  return out;
 }
 
 uint64_t now_us_locked(const Tracer& t) {
@@ -100,6 +139,10 @@ void reset() {
   std::lock_guard<std::mutex> lock(t.mu);
   t.events.clear();
   t.counters.clear();
+  for (ThreadCounters* b : t.blocks) {
+    std::lock_guard<std::mutex> block_lock(b->mu);
+    b->values.clear();
+  }
   t.dropped = 0;
   t.epoch = Clock::now();
 }
@@ -109,17 +152,21 @@ uint32_t lane() { return t_lane; }
 
 void count(const char* name, uint64_t delta) {
   if (!enabled()) return;
-  Tracer& t = tracer();
-  std::lock_guard<std::mutex> lock(t.mu);
-  t.counters[name] += delta;
+  ThreadCounters& mine = t_counters;
+  if (!mine.registered) {
+    Tracer& t = tracer();
+    std::lock_guard<std::mutex> lock(t.mu);
+    t.blocks.push_back(&mine);
+    mine.registered = true;
+  }
+  std::lock_guard<std::mutex> lock(mine.mu);
+  mine.values[name] += delta;
 }
 
 std::map<std::string, uint64_t> counters_snapshot() {
   Tracer& t = tracer();
   std::lock_guard<std::mutex> lock(t.mu);
-  std::map<std::string, uint64_t> out;
-  for (const auto& [name, value] : t.counters) out[name] = value;
-  return out;
+  return merged_counters_locked(t);
 }
 
 std::map<std::pair<std::string, std::string>, SpanAgg> span_aggregate() {
@@ -206,9 +253,7 @@ bool write_metrics(const std::string& path) {
   // Counters first, sorted by name: this prefix of the file is
   // deterministic across runs (at jobs=1) and is what the determinism
   // test compares.
-  std::map<std::string, uint64_t> counters;
-  for (const auto& [name, value] : t.counters) counters[name] = value;
-  for (const auto& [name, value] : counters) {
+  for (const auto& [name, value] : merged_counters_locked(t)) {
     out << "{\"type\":\"counter\",\"name\":" << quoted(name)
         << ",\"value\":" << value << "}\n";
   }

@@ -76,7 +76,8 @@ bool enabled();
 // recorded events are kept until reset(). Thread-safe.
 void enable(bool on);
 
-// Drops all recorded events and counters and restarts the epoch.
+// Drops all recorded events and counters (every thread's block included)
+// and restarts the epoch.
 void reset();
 
 // Sets this thread's lane id for subsequent spans (0 = main; the parallel
@@ -86,9 +87,12 @@ uint32_t lane();
 
 // Bumps a named counter (no-op when disabled). `name` must be a string
 // literal or otherwise outlive the tracer — it is stored by pointer.
+// Each thread counts into its own block, so workers never wait on each
+// other here; a thread's block folds into the tracer when it exits.
 void count(const char* name, uint64_t delta = 1);
 
-// Deterministic snapshot of all counters, sorted by name.
+// Deterministic snapshot of all counters, sorted by name: every live
+// thread's block plus the folded totals of exited threads.
 std::map<std::string, uint64_t> counters_snapshot();
 
 // Aggregates all recorded spans by (category, name). Deterministic in

@@ -1,8 +1,10 @@
 #include "verify/decomposed.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <set>
@@ -339,7 +341,10 @@ class DecomposedVerifier::Impl {
   // continues downstream depends only on the element and segment, so it
   // needs no key bit. Shared by every worker (first inserted entry wins)
   // and cleared per call. Entries keep only the results, never the
-  // substitution.
+  // substitution. The memo and the hash-consed state set are striped by
+  // key hash, each of kStripes stripes behind its own mutex, so workers
+  // stitching different keys seldom wait on each other. A memo stripe's
+  // lock may be held while a state stripe's is taken, never the reverse.
   struct StitchKey {
     size_t elem = 0;
     const Segment* seg = nullptr;
@@ -374,29 +379,43 @@ class DecomposedVerifier::Impl {
       return a->bytes == b->bytes && a->meta == b->meta;
     }
   };
-  std::mutex stitch_mu_;
-  std::unordered_map<StitchKey, Stitched, StitchKeyHash> stitch_memo_;
-  std::unordered_set<StateRef, StateHash, StateEq> states_;
+  static constexpr size_t kStripes = 64;
+  struct MemoStripe {
+    std::mutex mu;
+    std::unordered_map<StitchKey, Stitched, StitchKeyHash> memo;
+  };
+  struct StateStripe {
+    std::mutex mu;
+    std::unordered_set<StateRef, StateHash, StateEq> states;
+  };
+  std::array<MemoStripe, kStripes> memo_stripes_;
+  std::array<StateStripe, kStripes> state_stripes_;
 
-  // The canonical state with this content. Caller holds stitch_mu_.
-  StateRef intern_state_locked(PacketState st) {
-    return *states_.insert(std::make_shared<const PacketState>(std::move(st)))
-                .first;
+  // The stripe for a key hash: its high bits, so they stay independent of
+  // the bucket a stripe's table picks from the low ones.
+  template <typename Stripe>
+  static Stripe& stripe(std::array<Stripe, kStripes>& stripes, size_t h) {
+    return stripes[((uint64_t{h} * 0x9e3779b97f4a7c15ull) >> 32) &
+                   (kStripes - 1)];
   }
 
+  // The canonical state with this content.
   StateRef intern_state(PacketState st) {
-    std::lock_guard<std::mutex> lock(stitch_mu_);
-    return intern_state_locked(std::move(st));
+    auto ref = std::make_shared<const PacketState>(std::move(st));
+    StateStripe& ss = stripe(state_stripes_, StateHash{}(ref));
+    std::lock_guard<std::mutex> lock(ss.mu);
+    return *ss.states.insert(std::move(ref)).first;
   }
 
   const Stitched& stitched(size_t elem, const ElementSummary& sum,
                            const Segment& g, const PacketState& in,
                            bool continues, bool writes) {
     const StitchKey key{elem, &g, &in, writes};
+    MemoStripe& ms = stripe(memo_stripes_, StitchKeyHash{}(key));
     {
-      std::lock_guard<std::mutex> lock(stitch_mu_);
-      const auto it = stitch_memo_.find(key);
-      if (it != stitch_memo_.end()) {
+      std::lock_guard<std::mutex> lock(ms.mu);
+      const auto it = ms.memo.find(key);
+      if (it != ms.memo.end()) {
         obs::count("verify.stitch_memo_hits");
         return it->second;
       }
@@ -443,10 +462,10 @@ class DecomposedVerifier::Impl {
                                             : bv::mk_const(0, 32);
       }
     }
-    std::lock_guard<std::mutex> lock(stitch_mu_);
-    const auto [it, inserted] = stitch_memo_.try_emplace(key);
+    std::lock_guard<std::mutex> lock(ms.mu);
+    const auto [it, inserted] = ms.memo.try_emplace(key);
     if (inserted) {
-      if (feasible && continues) s.out = intern_state_locked(std::move(out));
+      if (feasible && continues) s.out = intern_state(std::move(out));
       it->second = std::move(s);
     }
     return it->second;
@@ -495,14 +514,15 @@ class DecomposedVerifier::Impl {
   // handed to the walk's callback on whichever worker stitched it, and
   // every Emit into a visited downstream element submits a work-queue task
   // for that subtree. At jobs=1 the queue runs each task inline, so the
-  // walk is a plain depth-first recursion on the caller; walks that must
-  // run in DFS order at any job count (key enumeration depends on site
-  // order, the refinement stops at its first certified violation) use a
-  // call-local one-job queue. Each segment carries its DFS address (the
-  // segment index chosen at every element), so callers sort results into
-  // exactly the jobs=1 emission order — reports are byte-for-byte
-  // deterministic in verdicts, suspect sets, and path lists regardless of
-  // job count.
+  // walk is a plain depth-first recursion on the caller; at more, a worker
+  // runs its own submission inline once every worker already has queued
+  // work (WorkQueue's inline rule). Walks that must run in DFS order at
+  // any job count (key enumeration depends on site order, the refinement
+  // stops at its first certified violation) use a call-local one-job
+  // queue. Each segment carries its DFS address (the segment index chosen
+  // at every element), so callers sort results into exactly the jobs=1
+  // emission order — reports are byte-for-byte deterministic in verdicts,
+  // suspect sets, and path lists regardless of job count.
   //
   // Caveat, shared with every parallel model checker that bounds work with
   // a global counter: if max_composed_paths is actually exhausted at
@@ -619,8 +639,8 @@ class DecomposedVerifier::Impl {
     }
     begin_cache_context(pl);
     refine_cache_.clear();
-    stitch_memo_.clear();
-    states_.clear();
+    for (MemoStripe& ms : memo_stripes_) ms.memo.clear();
+    for (StateStripe& ss : state_stripes_) ss.states.clear();
     state_writes_memo_.clear();
     pool.reset_stats();
     // One live incremental context per solver per top-level call: reuse
@@ -1382,6 +1402,27 @@ class DecomposedVerifier::Impl {
   // Property drivers
   // ---------------------------------------------------------------------
 
+  // A walk's per-terminal records go to one buffer per worker, so its
+  // callbacks share no lock. This concatenates every worker's records
+  // (each with its DFS address `order`) and puts them into jobs=1 emission
+  // order. A walk on one worker already emits in that order, so the
+  // records are checked first and sorted only when they are not.
+  template <typename Record>
+  static std::vector<Record> gather_in_order(
+      std::vector<std::vector<Record>>& per_worker) {
+    std::vector<Record> out = std::move(per_worker[0]);
+    for (size_t w = 1; w < per_worker.size(); ++w) {
+      std::ranges::move(per_worker[w], std::back_inserter(out));
+    }
+    const auto by_order = [](const Record& a, const Record& b) {
+      return a.order < b.order;
+    };
+    if (!std::is_sorted(out.begin(), out.end(), by_order)) {
+      std::sort(out.begin(), out.end(), by_order);
+    }
+    return out;
+  }
+
   // Shared by the crash-freedom and reachability drivers: walk, decide
   // every suspect terminal on the worker that reached it, then reduce the
   // outcomes in DFS order (sort by address) so truncation and the
@@ -1409,8 +1450,7 @@ class DecomposedVerifier::Impl {
       std::vector<size_t> trace;  // for the unroll refinement
     };
     const ExprRef root_constraint = root.constraint;
-    std::mutex out_mu;
-    std::vector<Outcome> outcomes;
+    std::vector<std::vector<Outcome>> per_worker(jobs);
     const auto decide = [&](size_t w, SegmentRecord& t) {
       ir::TrapKind trap = ir::TrapKind::Unreachable;
       bool sat_unknown = false;
@@ -1433,17 +1473,13 @@ class DecomposedVerifier::Impl {
       } else if (r == solver::Result::Sat) {
         o.trace = t.st.elem_trace;
       }
-      std::lock_guard<std::mutex> lock(out_mu);
-      outcomes.push_back(std::move(o));
+      per_worker[w].push_back(std::move(o));
     };
     Walk walk{queue, precision, cfg.max_composed_paths, std::move(visit),
               decide};
     run_walk(pl, walk, std::move(root));
     main_stats().composed_paths_checked = walk.paths;
-    std::sort(outcomes.begin(), outcomes.end(), [](const Outcome& a,
-                                                   const Outcome& b) {
-      return a.order < b.order;
-    });
+    std::vector<Outcome> outcomes = gather_in_order(per_worker);
     bool violated = false;
     bool unknown = walk.stopped();
     for (Outcome& o : outcomes) {
@@ -1552,25 +1588,18 @@ class DecomposedVerifier::Impl {
       bool is_bound = false;
       ExprRef constraint;
     };
-    std::mutex rec_mu;
-    std::vector<Rec> recs;
+    std::vector<std::vector<Rec>> per_worker(jobs);
     Walk walk{queue, Precision::AcceptBounds, cfg.max_composed_paths,
               [](size_t, size_t) { return true; },
-              [&](size_t /*w*/, SegmentRecord& t) {
+              [&](size_t w, SegmentRecord& t) {
                 if (t.continues) return;
-                Rec r;
-                r.order = std::move(t.order);
-                r.total = t.st.count;
-                r.is_bound = t.st.count_is_bound;
-                r.constraint = t.st.constraint;
-                std::lock_guard<std::mutex> lock(rec_mu);
-                recs.push_back(std::move(r));
+                per_worker[w].push_back(Rec{std::move(t.order), t.st.count,
+                                            t.st.count_is_bound,
+                                            t.st.constraint});
               }};
     run_walk(pl, walk, root_state(entry));
     main_stats().composed_paths_checked = walk.paths;
-
-    std::sort(recs.begin(), recs.end(),
-              [](const Rec& a, const Rec& b) { return a.order < b.order; });
+    std::vector<Rec> recs = gather_in_order(per_worker);
 
     // Batched speculative decision with the semantics of a DFS-order scan
     // that solves only when a terminal's count could improve the running
@@ -1721,11 +1750,10 @@ class DecomposedVerifier::Impl {
       std::vector<uint32_t> order;
       ComposedPath path;
     };
-    std::mutex item_mu;
-    std::vector<Item> items;
+    std::vector<std::vector<Item>> per_worker(jobs);
     Walk walk{queue, Precision::ExactAll, cfg.max_composed_paths,
               [](size_t, size_t) { return true; },
-              [&](size_t /*w*/, SegmentRecord& t) {
+              [&](size_t w, SegmentRecord& t) {
                 if (t.continues) return;
                 Item it;
                 it.order = std::move(t.order);
@@ -1738,13 +1766,11 @@ class DecomposedVerifier::Impl {
                 it.path.trap = t.seg->trap;
                 it.path.instr_count = t.st.count;
                 it.path.count_is_bound = t.st.count_is_bound;
-                std::lock_guard<std::mutex> lock(item_mu);
-                items.push_back(std::move(it));
+                per_worker[w].push_back(std::move(it));
               }};
     run_walk(pl, walk, root_state(out.entry));
 
-    std::sort(items.begin(), items.end(),
-              [](const Item& a, const Item& b) { return a.order < b.order; });
+    std::vector<Item> items = gather_in_order(per_worker);
     out.paths.reserve(items.size());
     for (Item& it : items) out.paths.push_back(std::move(it.path));
     out.complete = !walk.stopped();

@@ -6,6 +6,15 @@
 
 namespace vsd::verify {
 
+namespace {
+
+// The queue the calling thread works for, and its worker index there; null
+// on threads that are no queue's worker.
+thread_local const WorkQueue* t_queue = nullptr;
+thread_local size_t t_worker = 0;
+
+}  // namespace
+
 WorkQueue::WorkQueue(size_t jobs) : jobs_(jobs == 0 ? 1 : jobs) {
   if (jobs_ == 1) return;  // inline: tasks run on the submitting thread
   workers_.reserve(jobs_);
@@ -28,9 +37,14 @@ void WorkQueue::submit(Task task) {
     run(task, 0);
     return;
   }
+  if (t_queue == this && waiting_.load(std::memory_order_relaxed) >= jobs_) {
+    run(task, t_worker);  // every worker has queued work: no hand-off
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
+    waiting_.store(queue_.size(), std::memory_order_relaxed);
     ++pending_;
   }
   work_cv_.notify_one();
@@ -58,6 +72,8 @@ void WorkQueue::run(Task& task, size_t worker) {
 void WorkQueue::worker_loop(size_t index) {
   // Worker w traces on lane w+1; lane 0 stays the caller's main thread.
   obs::set_lane(static_cast<uint32_t>(index) + 1);
+  t_queue = this;
+  t_worker = index;
   for (;;) {
     Task task;
     {
@@ -66,6 +82,7 @@ void WorkQueue::worker_loop(size_t index) {
       if (queue_.empty()) return;  // stop_ and drained
       task = std::move(queue_.front());
       queue_.pop_front();
+      waiting_.store(queue_.size(), std::memory_order_relaxed);
     }
     {
       obs::ScopedSpan sp(obs::Cat::Task, "task");

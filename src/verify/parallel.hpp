@@ -11,7 +11,17 @@
 // Each task receives its worker index so callers can hand every worker its
 // own solver instance and stats block; nothing in the engine shares mutable
 // state across workers except the summary cache, the verifier's stitch memo
-// (both thread-safe) and the interned expression pool.
+// (both thread-safe, the memo striped) and the striped expression interner.
+//
+// The inline rule: once the queue holds at least jobs() waiting tasks,
+// every worker already has queued work, so submit() called from one of
+// this queue's workers runs the task itself, inline under that worker's
+// own index in this queue (a walk's child subtree is then walked by the
+// worker that reached it). Queued work keeps every worker fed; inline work
+// takes no lock and wakes no thread. Only queued tasks get a `task` trace
+// span (and count as `parallel.tasks`): a subtree walked inline stays
+// inside its parent's span. A thread that is not one of this queue's
+// workers always queues.
 //
 // One worker means no thread at all: submit() runs the task inline on the
 // calling thread as worker 0, so nested submissions run depth-first in
@@ -19,6 +29,7 @@
 // recorded. Every --jobs value thus runs the same driver code.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -43,8 +54,9 @@ class WorkQueue {
   WorkQueue(const WorkQueue&) = delete;
   WorkQueue& operator=(const WorkQueue&) = delete;
 
-  // Enqueues a task, or at one job runs it before returning. Safe to call
-  // from within a running task.
+  // Enqueues a task, or runs it before returning: at one job, and on one
+  // of this queue's workers once jobs() tasks are already waiting (the
+  // inline rule above). Safe to call from within a running task.
   void submit(Task task);
 
   // Blocks until every submitted task (including tasks submitted by tasks)
@@ -64,6 +76,8 @@ class WorkQueue {
   std::condition_variable work_cv_;  // signals workers: task available / stop
   std::condition_variable idle_cv_;  // signals wait_idle: pending hit zero
   std::deque<Task> queue_;
+  // queue_.size(), readable without the lock for the inline rule.
+  std::atomic<size_t> waiting_{0};
   size_t pending_ = 0;  // queued + currently running tasks
   bool stop_ = false;
   std::exception_ptr first_error_;

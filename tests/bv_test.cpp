@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <thread>
 #include <type_traits>
 
@@ -151,6 +152,61 @@ TEST(BvInterner, ConcurrentInterningAgreesOnIdentity) {
   EXPECT_EQ(mismatches, 0u);
   EXPECT_EQ(mk_eq(mk_add(mk_mul(x, mk_const(9, 32)), y), mk_const(7, 32)),
             got[3][7]);
+}
+
+TEST(BvInterner, ConcurrentBuildersCountEachDistinctNodeOnce) {
+  // Eight threads intern one shared set of nodes (each in a rotated order,
+  // so first builds race with hits across every shard), intern a set of
+  // their own over variables they mint concurrently, and then the count
+  // must have grown by exactly the distinct nodes, with no uid or variable
+  // id handed out twice.
+  constexpr size_t kThreads = 8;
+  constexpr size_t kShared = 64;  // shared nodes: and(a_i, a_j), i != j
+  constexpr size_t kOwn = 256;    // per thread: mul(w_k, a_(k mod kShared))
+  std::vector<ExprRef> a;
+  for (size_t i = 0; i < kShared; ++i) a.push_back(mk_var("a", 32));
+  const size_t before = interned_node_count();
+  std::vector<std::vector<ExprRef>> shared(kThreads);
+  std::vector<std::vector<ExprRef>> own(kThreads);
+  std::vector<std::vector<ExprRef>> vars(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t n = 0; n < kShared * kShared; ++n) {
+        const size_t k = (n + t * kShared * kShared / kThreads) %
+                         (kShared * kShared);
+        const size_t i = k / kShared;
+        const size_t j = k % kShared;
+        if (i != j) shared[t].push_back(mk_and(a[i], a[j]));
+        if (n < kOwn) {
+          vars[t].push_back(mk_var("w", 32));
+          own[t].push_back(mk_mul(vars[t].back(), a[n % kShared]));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(interned_node_count() - before,
+            kShared * (kShared - 1) + kThreads * kOwn);
+  std::set<const Expr*> shared_nodes;
+  std::set<uint64_t> uids;
+  std::set<uint64_t> var_ids;
+  for (const ExprRef& v : a) {
+    uids.insert(v->uid());
+    var_ids.insert(v->var_id());
+  }
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (const ExprRef& e : shared[t]) shared_nodes.insert(e.get());
+    for (const ExprRef& e : own[t]) uids.insert(e->uid());
+    for (const ExprRef& v : vars[t]) {
+      uids.insert(v->uid());
+      var_ids.insert(v->var_id());
+    }
+  }
+  EXPECT_EQ(shared_nodes.size(), kShared * (kShared - 1));
+  for (const Expr* e : shared_nodes) uids.insert(e->uid());
+  EXPECT_EQ(uids.size(), kShared + shared_nodes.size() + 2 * kThreads * kOwn);
+  EXPECT_EQ(var_ids.size(), kShared + kThreads * kOwn);
 }
 
 TEST(BvVar, FreshVariablesAreDistinct) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -71,6 +72,99 @@ TEST(WorkQueue, PropagatesTaskExceptions) {
   q.submit([](size_t) { throw std::runtime_error("boom"); });
   EXPECT_THROW(q.wait_idle(), std::runtime_error);
   // The queue stays usable after an exception round.
+  std::atomic<int> ran{0};
+  q.submit([&](size_t) { ++ran; });
+  q.wait_idle();
+  EXPECT_EQ(ran.load(), 1);
+}
+
+// --- The saturation rule: inline once every worker has queued work -------------------
+
+// Runs body(worker) on both workers of the two-worker queue `q` at once,
+// after two more tasks were queued behind them: while the bodies run, the
+// queue holds jobs() waiting tasks, so it is saturated for their
+// submissions. The waiting tasks run once both bodies have returned.
+void run_saturated(WorkQueue& q, const std::function<void(size_t)>& body) {
+  ASSERT_EQ(q.jobs(), 2u);
+  std::atomic<int> arrived{0};
+  std::atomic<bool> filled{false};
+  std::atomic<int> finished{0};
+  const auto task = [&](size_t worker) {
+    if (++arrived == 2) {
+      q.submit([](size_t) {});
+      q.submit([](size_t) {});
+      filled = true;
+    }
+    while (!filled) std::this_thread::yield();
+    body(worker);
+    ++finished;
+    while (finished < 2) std::this_thread::yield();
+  };
+  q.submit(task);
+  q.submit(task);
+  q.wait_idle();
+}
+
+TEST(SaturatedWorkQueue, RunsAChildInlineUnderTheSubmittersWorkerIndex) {
+  WorkQueue q(2);
+  size_t child[2] = {99, 99};
+  bool child_on_submitter[2] = {false, false};
+  run_saturated(q, [&](size_t worker) {
+    const std::thread::id submitter = std::this_thread::get_id();
+    q.submit([&, worker, submitter](size_t w) {
+      child[worker] = w;
+      child_on_submitter[worker] = std::this_thread::get_id() == submitter;
+    });
+    EXPECT_EQ(child[worker], worker);  // ran before submit() returned
+  });
+  for (size_t w = 0; w < 2; ++w) {
+    EXPECT_EQ(child[w], w);
+    EXPECT_TRUE(child_on_submitter[w]);
+  }
+}
+
+TEST(SaturatedWorkQueue, QueuesTasksFromThreadsThatAreNotItsWorkers) {
+  // A worker of `other` has no worker index in `q`: however full `q` is,
+  // its task is queued and runs on one of q's own workers later.
+  WorkQueue q(2);
+  WorkQueue other(2);
+  std::atomic<bool> ran{false};
+  bool ran_before_return = true;
+  std::thread::id submitter;
+  std::thread::id runner;
+  run_saturated(q, [&](size_t worker) {
+    if (worker != 0) return;
+    other.submit([&](size_t) {
+      submitter = std::this_thread::get_id();
+      q.submit([&](size_t) {
+        runner = std::this_thread::get_id();
+        ran = true;
+      });
+      ran_before_return = ran;
+    });
+    other.wait_idle();
+  });
+  EXPECT_FALSE(ran_before_return);
+  EXPECT_TRUE(ran.load());
+  EXPECT_NE(runner, submitter);
+}
+
+TEST(SaturatedWorkQueue, InlineExceptionReachesWaitIdle) {
+  WorkQueue q(2);
+  std::atomic<bool> thrown[2] = {false, false};
+  bool thrown_before_return[2] = {false, false};
+  EXPECT_THROW(run_saturated(q,
+                             [&](size_t worker) {
+                               q.submit([&, worker](size_t) {
+                                 thrown[worker] = true;
+                                 throw std::runtime_error("inline boom");
+                               });
+                               // The submitter carries on after its child.
+                               thrown_before_return[worker] = thrown[worker];
+                             }),
+               std::runtime_error);
+  EXPECT_TRUE(thrown_before_return[0]);
+  EXPECT_TRUE(thrown_before_return[1]);
   std::atomic<int> ran{0};
   q.submit([&](size_t) { ++ran; });
   q.wait_idle();
@@ -335,6 +429,108 @@ TEST(ParallelDeterminism, ComposedPathListingAcrossJobs) {
       EXPECT_EQ(pn.paths[i].port, p1.paths[i].port) << i;
       EXPECT_EQ(pn.paths[i].instr_count, p1.paths[i].instr_count) << i;
     }
+  }
+}
+
+// The tab8 stage mix at depth 8: thousands of composed paths, enough to
+// saturate the queue at every job count, so subtrees are walked both
+// queued and inline.
+std::string tab8_chain(size_t depth) {
+  static const char* const kStages[] = {
+      "CheckIPHeader(nochecksum)", "DecIPTTL",  "IPOptions",
+      "SetIPChecksum",             "IPOptions", "DecIPTTL",
+      "IPOptions",
+  };
+  std::string chain;
+  for (size_t i = 0; i < depth; ++i) {
+    if (i != 0) chain += " -> ";
+    chain += kStages[i % 7];
+  }
+  return chain;
+}
+
+std::vector<uint8_t> packet_bytes(const net::Packet& p) {
+  return {p.bytes().begin(), p.bytes().end()};
+}
+
+// Everything a report says except its time and solver-internal counters.
+using CeIdentity = std::tuple<std::vector<uint8_t>, std::vector<std::string>,
+                              int, std::string, bool>;
+
+std::vector<CeIdentity> ce_identities(const std::vector<Counterexample>& ces) {
+  std::vector<CeIdentity> out;
+  for (const Counterexample& ce : ces) {
+    out.emplace_back(packet_bytes(ce.packet), ce.element_path,
+                     static_cast<int>(ce.trap), ce.state_note,
+                     ce.requires_sequence);
+  }
+  return out;
+}
+
+TEST(ParallelDeterminism, DeepChainReportsAreIdenticalAtEveryJobCount) {
+  const std::string config = tab8_chain(8);
+  struct Reports {
+    CrashFreedomReport crash;
+    InstructionBoundReport bound;
+    ReachabilityReport never_drop;
+  };
+  const auto run = [&](size_t jobs) {
+    pipeline::Pipeline pl = elements::parse_pipeline(config);
+    DecomposedConfig cfg;
+    cfg.packet_len = 46;
+    cfg.jobs = jobs;
+    DecomposedVerifier v(cfg);
+    Reports r;
+    r.crash = v.verify_crash_freedom(pl);
+    r.bound = v.verify_instruction_bound(pl);
+    // `assert never(drop) when wellformed` at ip_offset 0.
+    r.never_drop =
+        v.verify_never_dropped(pl, [](const symbex::SymPacket& p) {
+          return wellformed_ipv4_at(p, 0);
+        });
+    return r;
+  };
+  const Reports r1 = run(1);
+  ASSERT_EQ(r1.bound.verdict, Verdict::Proven);
+  ASSERT_TRUE(r1.bound.witness.has_value());
+  EXPECT_GT(r1.bound.stats.composed_paths_checked, 1000u);
+  for (const size_t jobs : {size_t{2}, size_t{4}, size_t{8}}) {
+    const Reports rn = run(jobs);
+    EXPECT_EQ(rn.crash.verdict, r1.crash.verdict) << jobs;
+    EXPECT_EQ(ce_identities(rn.crash.counterexamples),
+              ce_identities(r1.crash.counterexamples))
+        << jobs;
+    EXPECT_EQ(rn.crash.stats.suspects_found, r1.crash.stats.suspects_found)
+        << jobs;
+    EXPECT_EQ(rn.crash.stats.composed_paths_checked,
+              r1.crash.stats.composed_paths_checked)
+        << jobs;
+
+    EXPECT_EQ(rn.bound.verdict, r1.bound.verdict) << jobs;
+    EXPECT_EQ(rn.bound.max_instructions, r1.bound.max_instructions) << jobs;
+    EXPECT_EQ(rn.bound.bound_is_exact, r1.bound.bound_is_exact) << jobs;
+    ASSERT_TRUE(rn.bound.witness.has_value()) << jobs;
+    EXPECT_EQ(packet_bytes(*rn.bound.witness), packet_bytes(*r1.bound.witness))
+        << jobs;
+    EXPECT_EQ(rn.bound.witness_instructions, r1.bound.witness_instructions)
+        << jobs;
+    EXPECT_EQ(rn.bound.stats.composed_paths_checked,
+              r1.bound.stats.composed_paths_checked)
+        << jobs;
+
+    EXPECT_EQ(rn.never_drop.verdict, r1.never_drop.verdict) << jobs;
+    EXPECT_EQ(ce_identities(rn.never_drop.counterexamples),
+              ce_identities(r1.never_drop.counterexamples))
+        << jobs;
+    EXPECT_EQ(rn.never_drop.stats.suspects_found,
+              r1.never_drop.stats.suspects_found)
+        << jobs;
+    EXPECT_EQ(rn.never_drop.stats.suspects_eliminated,
+              r1.never_drop.stats.suspects_eliminated)
+        << jobs;
+    EXPECT_EQ(rn.never_drop.stats.composed_paths_checked,
+              r1.never_drop.stats.composed_paths_checked)
+        << jobs;
   }
 }
 
