@@ -15,10 +15,12 @@
 namespace vsd::cache {
 
 // Bump whenever verification semantics change (new engine PR, changed
-// budgets baked into cached decisions, trap-kind numbering, ...) or the CNF
-// encoding changes, since entries carry SAT-model bytes: every entry
-// written under another version becomes a miss.
-inline constexpr const char kEngineVersion[] = "vsd-engine-9";
+// budgets baked into cached decisions, trap-kind numbering, ...), or the
+// CNF encoding or the search of a solver whose models are reported changes
+// (the incremental context's branching, which bounded-state packet
+// sequences are read from), since entries carry SAT-model bytes: every
+// entry written under another version becomes a miss.
+inline constexpr const char kEngineVersion[] = "vsd-engine-10";
 
 class Store {
  public:

@@ -100,7 +100,8 @@ std::map<std::string, uint64_t> counters_snapshot();
 std::map<std::pair<std::string, std::string>, SpanAgg> span_aggregate();
 
 // Copy of every recorded span (args included) — the raw material for
-// `vsd profile`'s per-element attribution.
+// `vsd profile`'s per-element attribution. Spans come grouped by the
+// thread that recorded them, not in global time order.
 std::vector<SpanEvent> events_snapshot();
 
 // Number of span events dropped because the in-memory cap was reached.
@@ -112,7 +113,10 @@ bool write_chrome_trace(const std::string& path);
 bool write_metrics(const std::string& path);
 
 // RAII span. Constructing while the tracer is disabled yields an inert
-// object; `operator bool` gates arg() work at call sites:
+// object; `operator bool` gates arg() work at call sites. A finished span
+// goes to its thread's own buffer (folded into the tracer when the thread
+// exits), so workers never wait on each other to record one; past 2^20
+// spans in all, spans are counted as dropped instead.
 //
 //   obs::ScopedSpan sp(obs::Cat::Solve, "check_feasible");
 //   if (sp) sp.arg("fingerprint", fp_string());  // only built when tracing

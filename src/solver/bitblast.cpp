@@ -199,10 +199,13 @@ BitBlaster::Bits BitBlaster::mux_word(Lit sel, const Bits& t, const Bits& f) {
 
 const std::vector<Lit>& BitBlaster::blast(const ExprRef& e) {
   auto it = cache_.find(e->uid());
-  if (it != cache_.end()) return it->second;
+  if (it != cache_.end()) return it->second.bits;
+  const sat::Var lo = solver_.num_vars();
   Bits bits = blast_uncached(e);
   assert(bits.size() == e->width());
-  return cache_.emplace(e->uid(), std::move(bits)).first->second;
+  const sat::VarRange vars{lo, solver_.num_vars()};
+  return cache_.emplace(e->uid(), Lowering{std::move(bits), vars})
+      .first->second.bits;
 }
 
 BitBlaster::Bits BitBlaster::blast_uncached(const ExprRef& e) {

@@ -9,6 +9,14 @@
 // zero, other constants and symbolic ones, goes through the restoring
 // divider. The translation is sound and complete for QF_BV, which is the
 // full fragment the symbolic executor emits.
+//
+// Variables are numbered in creation order, so the variables a node's
+// first lowering creates (its own gates and the first lowerings of its
+// operands not lowered before) form one range [lo, hi), recorded next to
+// the node's literals. The union of those ranges over every node of an
+// expression's DAG is the expression's cone: it holds the circuit-source
+// bits of its variables and every gate it reads, closed under gate inputs,
+// which is the decision set SatSolver::solve restricts branching to.
 #pragma once
 
 #include <unordered_map>
@@ -30,6 +38,13 @@ class BitBlaster {
   // Lowers `e` and returns its literals (LSB first). Cached per node.
   const std::vector<sat::Lit>& blast(const bv::ExprRef& e);
 
+  // The variables `e`'s first lowering created, or null when `e` was never
+  // lowered (only a constant divisor of a power-of-two udiv/urem is not).
+  const sat::VarRange* lowered_range(const bv::ExprRef& e) const {
+    const auto it = cache_.find(e->uid());
+    return it == cache_.end() ? nullptr : &it->second.vars;
+  }
+
   // After a Sat result, reads back the concrete value of `e` from the model.
   uint64_t model_value(const bv::ExprRef& e);
 
@@ -46,6 +61,10 @@ class BitBlaster {
 
  private:
   using Bits = std::vector<sat::Lit>;
+  struct Lowering {
+    Bits bits;
+    sat::VarRange vars;
+  };
 
   sat::Lit fresh();
   sat::Lit const_lit(bool b) const { return b ? true_lit() : false_lit(); }
@@ -74,7 +93,7 @@ class BitBlaster {
 
   sat::SatSolver& solver_;
   sat::Lit true_lit_;
-  std::unordered_map<uint64_t, Bits> cache_;  // expr uid -> literals
+  std::unordered_map<uint64_t, Lowering> cache_;  // expr uid -> lowering
 };
 
 }  // namespace vsd::solver

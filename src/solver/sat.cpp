@@ -40,7 +40,7 @@ Var SatSolver::new_var() {
   activity_.push_back(0.0);
   heap_index_.push_back(-1);
   seen_.push_back(0);
-  relevant_gen_.push_back(0);
+  decide_gen_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
   heap_insert(v);
@@ -89,9 +89,6 @@ void SatSolver::attach_clause(int idx) {
 bool SatSolver::enqueue(Lit l, int reason_idx) {
   if (value(l) == LBool::False) return false;
   if (value(l) == LBool::True) return true;
-  if (relevant_active_ && relevant_gen_[l.var()] == relevant_cur_gen_) {
-    --relevant_unassigned_;
-  }
   assigns_[l.var()] = lbool_from(!l.negated());
   phase_[l.var()] = !l.negated();
   level_[l.var()] = static_cast<int>(trail_lim_.size());
@@ -254,12 +251,9 @@ void SatSolver::backtrack(int target_level) {
   const size_t bound = trail_lim_[target_level];
   for (size_t i = trail_.size(); i > bound; --i) {
     const Var v = trail_[i - 1].var();
-    if (relevant_active_ && relevant_gen_[v] == relevant_cur_gen_) {
-      ++relevant_unassigned_;
-    }
     assigns_[v] = LBool::Undef;
     reason_[v] = -1;
-    if (!heap_contains(v)) heap_insert(v);
+    if (!heap_contains(v) && decidable(v)) heap_insert(v);
   }
   trail_.resize(bound);
   trail_lim_.resize(target_level);
@@ -361,28 +355,41 @@ SatResult SatSolver::solve(uint64_t max_conflicts) {
   return solve(std::vector<Lit>{}, max_conflicts);
 }
 
-SatResult SatSolver::solve(const std::vector<Lit>& assumptions,
-                           uint64_t max_conflicts,
-                           const std::vector<Var>* relevant) {
-  final_conflict_.clear();
-  relevant_active_ = false;
-  if (!ok_) return SatResult::Unsat;
-  assert(trail_lim_.empty() && "solve() must start at decision level 0");
-  if (relevant != nullptr) {
-    relevant_active_ = true;
-    ++relevant_cur_gen_;
-    relevant_unassigned_ = 0;
-    for (const Var v : *relevant) {
-      if (relevant_gen_[v] == relevant_cur_gen_) continue;  // duplicate
-      relevant_gen_[v] = relevant_cur_gen_;
-      if (assigns_[v] == LBool::Undef) ++relevant_unassigned_;
+// Inserts in variable order, so equal activities tie-break the same way
+// on every call.
+void SatSolver::rebuild_heap(const std::vector<VarRange>* decide_on) {
+  for (const Var v : heap_) heap_index_[v] = -1;
+  heap_.clear();
+  heap_restricted_ = decide_on != nullptr;
+  if (decide_on == nullptr) {
+    for (Var v = 0; v < num_vars(); ++v) {
+      if (assigns_[v] == LBool::Undef) heap_insert(v);
+    }
+    return;
+  }
+  ++decide_cur_gen_;
+  for (const VarRange& r : *decide_on) {
+    for (Var v = r.lo; v < r.hi; ++v) {
+      decide_gen_[v] = decide_cur_gen_;
+      if (assigns_[v] == LBool::Undef) heap_insert(v);
     }
   }
+}
+
+SatResult SatSolver::solve(const std::vector<Lit>& assumptions,
+                           uint64_t max_conflicts,
+                           const std::vector<VarRange>* decide_on) {
+  final_conflict_.clear();
+  if (!ok_) return SatResult::Unsat;
+  assert(trail_lim_.empty() && "solve() must start at decision level 0");
   if (propagate() != -1) {
     ok_ = false;
-    relevant_active_ = false;
     return SatResult::Unsat;
   }
+  // A solve without a set keeps the heap it has (every variable, unless a
+  // restricted solve ran before), so a solver that is never restricted
+  // searches exactly as it always did.
+  if (decide_on != nullptr || heap_restricted_) rebuild_heap(decide_on);
 
   uint64_t conflicts_total = 0;
   uint64_t restart_epoch = 0;
@@ -394,7 +401,6 @@ SatResult SatSolver::solve(const std::vector<Lit>& assumptions,
   // clauses and variables can be added before the next solve.
   const auto finish = [this](SatResult r) {
     backtrack(0);
-    relevant_active_ = false;
     return r;
   };
 
@@ -407,7 +413,6 @@ SatResult SatSolver::solve(const std::vector<Lit>& assumptions,
       ++conflicts_since_restart;
       if (trail_lim_.empty()) {
         ok_ = false;  // conflict below every assumption: truly unsat
-        relevant_active_ = false;
         return SatResult::Unsat;
       }
       int backtrack_level = 0;
@@ -462,17 +467,12 @@ SatResult SatSolver::solve(const std::vector<Lit>& assumptions,
       }
     }
     if (next == kLitUndef) {
-      // Early Sat: all relevant (circuit-source) variables assigned at a
-      // propagation fixpoint with every assumption established — per the
-      // contract in sat.hpp, the remaining circuits always extend, so the
-      // retired queries of an incremental context cost no decisions here.
-      if (relevant_active_ && relevant_unassigned_ == 0) {
-        capture_model();
-        return finish(SatResult::Sat);
-      }
       next = pick_branch_lit();
       if (next == kLitUndef) {
-        capture_model();  // all vars assigned
+        // Every decidable variable is assigned at a conflict-free fixpoint:
+        // the whole instance, or (per the contract in sat.hpp) a decision
+        // set whose gates all extend to a total model.
+        capture_model();
         return finish(SatResult::Sat);
       }
       ++stats_.decisions;

@@ -40,6 +40,12 @@ class Lit {
 
 inline const Lit kLitUndef = Lit::from_code(-2);
 
+// A half-open block [lo, hi) of variable indices.
+struct VarRange {
+  Var lo = 0;
+  Var hi = 0;
+};
+
 // Three-valued assignment.
 enum class LBool : int8_t { False = 0, True = 1, Undef = 2 };
 
@@ -100,24 +106,37 @@ class SatSolver {
   // afterwards. Unsat here means "unsat under these assumptions" unless
   // okay() also turned false (the database itself became unsat).
   //
-  // `relevant` (optional) enables early Sat termination: the solver answers
-  // Sat as soon as every listed variable is assigned with propagation
-  // complete and no conflict, instead of assigning every variable in the
-  // database. SOUNDNESS CONTRACT (the caller's obligation): every non-unit
-  // problem clause must be part of a propagation-complete acyclic gate
-  // definition (Tseitin encodings as produced by BitBlaster), every unit
-  // clause must pin a root of a circuit whose source variables are all
-  // listed in `relevant`, and the assumptions' circuits' sources likewise.
-  // Then at the early stop every cone gate has been propagated to its
-  // semantic value, so extending the assignment by evaluating the remaining
-  // (unpinned) circuits bottom-up yields a total model; learnt clauses are
-  // implied by the problem clauses and cannot be violated by it. This is
-  // what keeps an incremental context from paying O(all retired circuits)
-  // decisions for every Sat answer. Model values are then meaningful for
-  // the relevant cone (unassigned variables read as false).
+  // `decide_on` (optional) restricts branching to a decision set, given as
+  // variable ranges: the VSIDS heap holds only the set's unassigned
+  // variables, and Sat is reported once the heap drains, i.e. once every
+  // variable of the set is assigned at a conflict-free propagation fixpoint.
+  // Variables outside the set are assigned only by propagation. Without a
+  // set every variable is decidable and the search is the plain one.
+  //
+  // SOUNDNESS CONTRACT (the caller's obligation): every non-unit problem
+  // clause belongs to a propagation-complete, acyclic gate definition
+  // (Tseitin encodings as produced by BitBlaster), every unit problem
+  // clause pins a variable that no gate reads (BitBlaster's true literal),
+  // every assumption's variable is in the set or assigned at level 0, and
+  // the set is closed under gate inputs: with a gate's output it holds
+  // every input. Then when the heap drains every gate of the set has been
+  // propagated to its semantic value, and evaluating the gates outside the
+  // set bottom-up from it extends the assignment to a total model of the
+  // problem clauses; learnt clauses are implied by those and hold too. So
+  // Sat is exact, and model values are meaningful on the set only
+  // (variables outside it read as whatever propagation left, false when
+  // unassigned). A caller passes a query's whole cone, gates included, and
+  // not just the circuit-source bits: deciding only the source bits is
+  // sound as well (propagation then fixes every gate), but input-restricted
+  // branching can need exponentially longer searches (Järvisalo & Junttila,
+  // 2009).
+  //
+  // This is what keeps an incremental context from deciding the circuits of
+  // every query it retired: their high-activity variables stay out of the
+  // heap, so a query costs decisions in its own cone only.
   SatResult solve(const std::vector<Lit>& assumptions,
                   uint64_t max_conflicts = UINT64_MAX,
-                  const std::vector<Var>* relevant = nullptr);
+                  const std::vector<VarRange>* decide_on = nullptr);
 
   // Valid after the most recent solve() returned Sat (the model is captured
   // before assumptions are retracted, so it stays readable between solves).
@@ -173,6 +192,12 @@ class SatSolver {
   void analyze_final(Lit p);  // fills final_conflict_ from the trail
   void capture_model();
   void backtrack(int level);
+  // Refills the order heap with every unassigned variable of `decide_on`,
+  // or of the whole instance when it is null.
+  void rebuild_heap(const std::vector<VarRange>* decide_on);
+  bool decidable(Var v) const {
+    return !heap_restricted_ || decide_gen_[v] == decide_cur_gen_;
+  }
   Lit pick_branch_lit();
   void attach_clause(int idx);
   void reduce_learnt_db();
@@ -212,12 +237,12 @@ class SatSolver {
   std::vector<uint8_t> model_;       // captured at Sat, survives retraction
   std::vector<Lit> final_conflict_;  // assumption-unsat explanation
 
-  // Early-termination bookkeeping for solve(..., relevant): generation-
-  // stamped membership mask plus a live count of unassigned relevant vars.
-  std::vector<uint32_t> relevant_gen_;
-  uint32_t relevant_cur_gen_ = 0;
-  bool relevant_active_ = false;
-  size_t relevant_unassigned_ = 0;
+  // Decision-set membership for solve(..., decide_on), generation-stamped.
+  // While heap_restricted_ is set the heap holds members only; a solve
+  // without a set refills it with every variable first.
+  std::vector<uint32_t> decide_gen_;
+  uint32_t decide_cur_gen_ = 0;
+  bool heap_restricted_ = false;
 
   bool ok_ = true;
   SolverStats stats_;

@@ -26,20 +26,48 @@ SolverContext::SolverContext(Solver& owner)
   ++owner_.stats_.contexts_opened;
 }
 
-void SolverContext::push_var_bits(const bv::ExprRef& v,
-                                  std::vector<sat::Var>* out) {
-  for (const sat::Lit l : blaster_.blast(v)) out->push_back(l.var());
+namespace {
+
+// Sorts ranges by start and merges the overlapping and adjacent ones.
+void coalesce(std::vector<sat::VarRange>* ranges) {
+  std::sort(ranges->begin(), ranges->end(),
+            [](const sat::VarRange& a, const sat::VarRange& b) {
+              return a.lo < b.lo;
+            });
+  size_t keep = 0;
+  for (const sat::VarRange& r : *ranges) {
+    if (keep != 0 && r.lo <= (*ranges)[keep - 1].hi) {
+      (*ranges)[keep - 1].hi = std::max((*ranges)[keep - 1].hi, r.hi);
+    } else {
+      (*ranges)[keep++] = r;
+    }
+  }
+  ranges->resize(keep);
 }
 
-// One traversal serves both bookkeeping needs: model-extraction tracking
-// (vars_) and the bit-variable list `bits` joins the relevant cone —
-// base_bits_ permanently for assertions, relevant_scratch_ per query.
-void SolverContext::note_vars(const bv::ExprRef& e,
-                              std::vector<sat::Var>* bits) {
-  for (const bv::ExprRef& v : bv::free_variables(e)) {
-    vars_.emplace(v->var_id(), v);
-    push_var_bits(v, bits);
+}  // namespace
+
+const std::vector<sat::VarRange>& SolverContext::cone(
+    const bv::ExprRef& conjunct) {
+  const auto hit = cones_.find(conjunct->uid());
+  if (hit != cones_.end()) return hit->second;
+  std::vector<sat::VarRange> ranges;
+  std::unordered_set<uint64_t> seen;
+  std::vector<bv::ExprRef> stack{conjunct};
+  while (!stack.empty()) {
+    const bv::ExprRef n = stack.back();
+    stack.pop_back();
+    if (!seen.insert(n->uid()).second) continue;
+    const sat::VarRange* r = blaster_.lowered_range(n);
+    if (r == nullptr) continue;  // a constant divisor wired as a shift
+    if (r->hi > r->lo) ranges.push_back(*r);
+    if (n->kind() == bv::Kind::Var) vars_.emplace(n->var_id(), n);
+    for (size_t i = 0; i < n->num_operands(); ++i) {
+      stack.push_back(n->operand(i));
+    }
   }
+  coalesce(&ranges);
+  return cones_.emplace(conjunct->uid(), std::move(ranges)).first->second;
 }
 
 bool SolverContext::collect_conjuncts(const bv::ExprRef& e,
@@ -63,23 +91,8 @@ bool SolverContext::collect_conjuncts(const bv::ExprRef& e,
     owner_.stats_.blast_nodes += blaster_.cache_size() - before;
   }
   lits->push_back(l);
-  if (exprs != nullptr) exprs->push_back(e);
+  exprs->push_back(e);
   return true;
-}
-
-void SolverContext::assert_base(const bv::ExprRef& e) {
-  assert(e->width() == 1);
-  has_base_ = true;
-  if (base_false_) return;
-  std::vector<sat::Lit> lits;
-  if (!collect_conjuncts(e, &lits)) {
-    base_false_ = true;
-    return;
-  }
-  note_vars(e, &base_bits_);
-  for (const sat::Lit l : lits) {
-    if (!sat_.add_clause({l})) base_false_ = true;
-  }
 }
 
 CheckResult SolverContext::check_assuming(const bv::ExprRef& e,
@@ -87,7 +100,7 @@ CheckResult SolverContext::check_assuming(const bv::ExprRef& e,
   assert(e->width() == 1);
   CheckResult out;
   last_core_.clear();
-  if (base_false_ || !sat_.okay()) {
+  if (!sat_.okay()) {
     out.result = Result::Unsat;
     return out;
   }
@@ -97,18 +110,21 @@ CheckResult SolverContext::check_assuming(const bv::ExprRef& e,
     out.result = Result::Unsat;
     return out;
   }
-  // Relevant cone for early Sat termination: the circuit-source bits of the
-  // base assertions plus this query's free variables (duplicates are fine —
-  // the solver's membership mask dedupes).
-  relevant_scratch_ = base_bits_;
-  note_vars(e, &relevant_scratch_);
+  // The decision set: the union of the conjuncts' cones. It is closed under
+  // gate inputs and holds every assumption, as SatSolver::solve requires.
+  decide_on_.clear();
+  for (const bv::ExprRef& c : conjuncts) {
+    const std::vector<sat::VarRange>& r = cone(c);
+    decide_on_.insert(decide_on_.end(), r.begin(), r.end());
+  }
+  coalesce(&decide_on_);
 
   CheckStats& cs = owner_.stats_;
   ++cs.incremental_queries;
   cs.learnt_retained += sat_.num_learnts();
   const sat::SolverStats before = sat_.stats();
   const sat::SatResult r =
-      sat_.solve(assumptions, owner_.max_conflicts_, &relevant_scratch_);
+      sat_.solve(assumptions, owner_.max_conflicts_, &decide_on_);
   cs.sat_conflicts += sat_.stats().conflicts - before.conflicts;
   cs.sat_decisions += sat_.stats().decisions - before.decisions;
 
@@ -393,7 +409,7 @@ std::vector<bv::ExprRef> Solver::split_components(const bv::ExprRef& e) {
 Result Solver::context_check(const bv::ExprRef& e) {
   SolverContext& ctx = context();
   const Result pre = ctx.check_assuming(e, /*need_model=*/false).result;
-  if (pre == Result::Unsat && avoidance_ && !ctx.has_base()) {
+  if (pre == Result::Unsat && avoidance_) {
     last_core_ = ctx.last_core();
     record_core(last_core_);
   }

@@ -104,15 +104,19 @@ class FeasibilityMemo {
 class Solver;
 
 // A live incremental solving scope: one SatSolver plus one BitBlaster whose
-// expr→literal cache persists across queries. Base constraints (path
-// prefixes, blocking clauses) are asserted once and stay; each
-// check_assuming() query is decided under assumptions — the blasted root
-// literal of every top-level conjunct acts as that conjunct's activation
-// literal (the Tseitin definitions are full equivalences, so the circuit is
-// inert until its root is assumed, and retraction is just not assuming it
-// again). Learnt clauses never depend on assumption "facts" (assumptions
-// enter as decisions), so everything learnt under one query soundly prunes
-// the next.
+// expr→literal cache persists across queries. Every check_assuming() query
+// is decided under assumptions only — the blasted root literal of every
+// top-level conjunct acts as that conjunct's activation literal (the
+// Tseitin definitions are full equivalences, so the circuit is inert until
+// its root is assumed, and retraction is just not assuming it again).
+// Learnt clauses never depend on assumption "facts" (assumptions enter as
+// decisions), so everything learnt under one query soundly prunes the next.
+//
+// The solver branches only on the live query's cone: the variables of
+// every circuit its conjuncts' expression DAGs lowered to (cached per
+// conjunct for the context's lifetime). The circuits of retired queries
+// stay in the database, keep their learnt clauses and are assigned by
+// propagation, but are never decided (see SatSolver::solve).
 //
 // Sat models are read from the live solver state and therefore depend on
 // the query history: callers needing history-independent (deterministic
@@ -124,14 +128,10 @@ class SolverContext {
   // Stats and the conflict budget are the owning Solver's.
   explicit SolverContext(Solver& owner);
 
-  // Permanently asserts the width-1 expression `e` for the lifetime of the
-  // context: base path-constraint prefixes and blocking clauses. Top-level
-  // conjunctions are split so each conjunct blasts (and is cached) alone.
-  void assert_base(const bv::ExprRef& e);
-
-  // Decides base ∧ e without retaining e. On Sat with need_model, the
-  // model covers every free variable this context has seen (a superset of
-  // e's variables; unassigned lookups default to 0 downstream).
+  // Decides e without retaining it. On Sat with need_model, the model
+  // covers every free variable this context has seen; only e's variables
+  // carry meaning (the others read as whatever propagation left, 0 when
+  // unassigned).
   CheckResult check_assuming(const bv::ExprRef& e, bool need_model = true);
 
   size_t num_learnts() const { return sat_.num_learnts(); }
@@ -139,38 +139,29 @@ class SolverContext {
 
   // After check_assuming returned Unsat (with the database still okay):
   // the subset of the query's top-level conjuncts the refutation actually
-  // used (mapped back from SatSolver::final_conflict()). Valid globally —
-  // i.e. the conjunction of these expressions is unsatisfiable on its own —
-  // only while the context holds no base assertions (has_base() false):
-  // with a base, the core is only unsat relative to it.
+  // used (mapped back from SatSolver::final_conflict()). The conjunction of
+  // these expressions is unsatisfiable on its own.
   const std::vector<bv::ExprRef>& last_core() const { return last_core_; }
-  bool has_base() const { return has_base_; }
 
  private:
   // Splits the And-spine of a width-1 expression and blasts each conjunct
-  // to its root literal (optionally recording the conjunct expression per
-  // literal). Returns false when a conjunct folds to false.
+  // to its root literal, recording the conjunct expression per literal.
+  // Returns false when a conjunct folds to false.
   bool collect_conjuncts(const bv::ExprRef& e, std::vector<sat::Lit>* lits,
-                         std::vector<bv::ExprRef>* exprs = nullptr);
-  // Records e's free variables for model extraction and appends their bit
-  // variables to `bits` (the permanent base cone or a query's scratch).
-  void note_vars(const bv::ExprRef& e, std::vector<sat::Var>* bits);
-  void push_var_bits(const bv::ExprRef& v, std::vector<sat::Var>* out);
+                         std::vector<bv::ExprRef>* exprs);
+  // The coalesced variable ranges of a blasted conjunct's cone, computed on
+  // first use from the lowering ranges of every node of its DAG (which also
+  // records its free variables for model extraction).
+  const std::vector<sat::VarRange>& cone(const bv::ExprRef& conjunct);
 
   Solver& owner_;
   sat::SatSolver sat_;
   BitBlaster blaster_;
-  // Every free variable asserted or assumed so far, for model extraction.
+  // Every free variable assumed so far, for model extraction.
   std::unordered_map<uint64_t, bv::ExprRef> vars_;
-  // Circuit-source bits of the base assertions (grows with assert_base):
-  // together with the current query's source bits this is the `relevant`
-  // set handed to SatSolver::solve for early Sat termination — retired
-  // queries' circuits cost no completion decisions.
-  std::vector<sat::Var> base_bits_;
-  std::vector<sat::Var> relevant_scratch_;
+  std::unordered_map<uint64_t, std::vector<sat::VarRange>> cones_;
+  std::vector<sat::VarRange> decide_on_;  // the live query's merged cone
   std::vector<bv::ExprRef> last_core_;
-  bool base_false_ = false;
-  bool has_base_ = false;
 };
 
 // Which ladder rung decided a query, for tracing (span arg "rung" and the

@@ -539,6 +539,123 @@ TEST(BitBlastDivision, OtherDivisorsKeepTheDividerAndZeroSemantics) {
   }
 }
 
+// --- Propagation completeness of every operator's lowering ------------------
+
+namespace {
+
+// The expressions of kind `k` over operands of width `w` the test lowers;
+// empty where the kind takes no operand of that width.
+std::vector<ExprRef> expressions_of_kind(bv::Kind k, unsigned w,
+                                         net::Rng& rng) {
+  using bv::Kind;
+  const ExprRef x = bv::mk_var("x", w);
+  const ExprRef y = bv::mk_var("y", w);
+  const uint64_t mask = w == 64 ? ~uint64_t{0} : (uint64_t{1} << w) - 1;
+  switch (k) {
+    case Kind::Const: return {bv::mk_const(rng.next() & mask, w)};
+    case Kind::Var: return {x};
+    case Kind::Not: return {bv::mk_not(x)};
+    case Kind::Neg: return {bv::mk_neg(x)};
+    case Kind::Add: return {bv::mk_add(x, y)};
+    case Kind::Sub: return {bv::mk_sub(x, y)};
+    case Kind::Mul: return {bv::mk_mul(x, y)};
+    case Kind::UDiv:
+    case Kind::URem: {
+      // A symbolic divisor, and at w >= 8 constants that are not powers of
+      // two (those keep the restoring divider; powers of two are wiring).
+      const auto op = k == Kind::UDiv ? bv::mk_udiv : bv::mk_urem;
+      if (w == 1) return {op(x, y)};
+      return {op(x, y), op(x, bv::mk_const(3, w)), op(x, bv::mk_const(10, w))};
+    }
+    case Kind::And: return {bv::mk_and(x, y)};
+    case Kind::Or: return {bv::mk_or(x, y)};
+    case Kind::Xor: return {bv::mk_xor(x, y)};
+    case Kind::Shl: return {bv::mk_shl(x, y)};
+    case Kind::LShr: return {bv::mk_lshr(x, y)};
+    case Kind::AShr: return {bv::mk_ashr(x, y)};
+    case Kind::Eq: return {bv::mk_eq(x, y)};
+    case Kind::Ult: return {bv::mk_ult(x, y)};
+    case Kind::Ule: return {bv::mk_ule(x, y)};
+    case Kind::Slt: return {bv::mk_slt(x, y)};
+    case Kind::Sle: return {bv::mk_sle(x, y)};
+    case Kind::ZExt:
+      return w < 64 ? std::vector<ExprRef>{bv::mk_zext(x, 2 * w)}
+                    : std::vector<ExprRef>{};
+    case Kind::SExt:
+      return w < 64 ? std::vector<ExprRef>{bv::mk_sext(x, 2 * w)}
+                    : std::vector<ExprRef>{};
+    case Kind::Extract:
+      return w > 1 ? std::vector<ExprRef>{bv::mk_extract(x, w / 4, w / 2)}
+                   : std::vector<ExprRef>{};
+    case Kind::Concat:
+      return w < 64 ? std::vector<ExprRef>{bv::mk_concat(x, y)}
+                    : std::vector<ExprRef>{};
+    case Kind::Ite: return {bv::mk_ite(bv::mk_var("c", 1), x, y)};
+  }
+  return {};
+}
+
+}  // namespace
+
+// Restricted branching (SatSolver::solve with a decision set) is sound only
+// because every gate BitBlaster emits is propagation-complete: once its
+// inputs are assigned, unit propagation assigns its output. So with every
+// operand bit fixed by assumption and the lowering's own variable range as
+// the decision set, every operator must come out Sat with no decision at
+// all, and its value must equal bv::evaluate's.
+TEST(BitBlastCompleteness, FixedOperandsPropagateEveryOperator) {
+  using bv::Kind;
+  net::Rng rng(0xc0u);
+  int lowered = 0;
+  for (int ki = 0; ki <= static_cast<int>(Kind::Ite); ++ki) {
+    const Kind k = static_cast<Kind>(ki);
+    for (const unsigned w : {1u, 8u, 16u, 32u, 64u}) {
+      for (const ExprRef& e : expressions_of_kind(k, w, rng)) {
+        ASSERT_EQ(e->kind(), k) << bv::kind_name(k) << " folded at w=" << w;
+        sat::SatSolver sat;
+        solver::BitBlaster bb(sat);
+        bb.blast(e);
+        const sat::VarRange* range = bb.lowered_range(e);
+        ASSERT_NE(range, nullptr);
+        const std::vector<sat::VarRange> decide_on{*range};
+        const std::vector<ExprRef> operands = bv::free_variables(e);
+        ++lowered;
+        for (int sample = 0; sample < 8; ++sample) {
+          bv::Assignment asn;
+          std::vector<sat::Lit> assumptions;
+          for (const ExprRef& v : operands) {
+            const unsigned vw = v->width();
+            const uint64_t vmask =
+                vw == 64 ? ~uint64_t{0} : (uint64_t{1} << vw) - 1;
+            const uint64_t value =
+                sample == 0   ? 0
+                : sample == 1 ? vmask
+                : sample == 2 ? uint64_t{1} << (vw - 1)
+                : sample == 3 ? 1
+                : sample == 4 ? rng.next_below(vw + 1)  // in-range shifts
+                              : rng.next() & vmask;
+            asn[v->var_id()] = value;
+            const std::vector<sat::Lit>& bits = bb.blast(v);
+            for (size_t i = 0; i < bits.size(); ++i) {
+              assumptions.push_back(((value >> i) & 1) != 0 ? bits[i]
+                                                            : ~bits[i]);
+            }
+          }
+          const uint64_t before = sat.stats().decisions;
+          ASSERT_EQ(sat.solve(assumptions, UINT64_MAX, &decide_on),
+                    sat::SatResult::Sat)
+              << bv::kind_name(k) << " w=" << w << " sample " << sample;
+          EXPECT_EQ(sat.stats().decisions, before)
+              << bv::kind_name(k) << " w=" << w << " sample " << sample;
+          EXPECT_EQ(bb.model_value(e), bv::evaluate(e, asn))
+              << bv::kind_name(k) << " w=" << w << " sample " << sample;
+        }
+      }
+    }
+  }
+  EXPECT_GT(lowered, 100);
+}
+
 // --- Query avoidance: independence slicing and model determinism ------------
 
 TEST(QueryAvoidance, VariableDisjointConjunctionIsSliced) {
