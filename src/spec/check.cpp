@@ -137,9 +137,9 @@ AssertionOutcome run_bounded_state(const Assertion& a,
 // the packet geometry, and the assertion's semantic content with `let`
 // references inlined — NOT its source text, so reformatting a spec (or
 // renaming a let) still hits. Budgets and job/incremental settings are
-// excluded: check_spec pins deterministic budgets, and the remaining knobs
-// are verdict-invariant by design. Engine semantic changes
-// invalidate through the store's engine-version framing.
+// excluded: check_spec runs the verifier's default (count-based) budgets,
+// and the remaining knobs are verdict-invariant by design. Engine semantic
+// changes invalidate through the store's engine-version framing.
 cache::Fingerprint assertion_fingerprint(const SpecFile& spec,
                                          const Assertion& a,
                                          const pipeline::Pipeline& pl) {
@@ -259,13 +259,6 @@ CheckReport check_spec(const SpecFile& spec, const CheckOptions& opts) {
   cfg.packet_len = spec.packet_len;
   cfg.jobs = opts.jobs;
   cfg.incremental = opts.incremental;
-  // Deterministic refinement budget, like the fuzz harness: the wall-clock
-  // budget can flip a Violated-with-certificate into an honest Unknown on
-  // a loaded machine (observed under a parallel ctest run), and `vsd
-  // check` verdicts must not depend on machine load.
-  cfg.refine_time_budget_seconds = 0.0;
-  cfg.refine_max_instructions = 5'000'000;
-  cfg.refine_max_solver_checks = 4096;
   cfg.decision_cache = opts.cache;
   cfg.shared_caches = opts.shared_caches;
   verify::DecomposedVerifier verifier(cfg);

@@ -31,42 +31,10 @@ std::string json_quote(const std::string& s) {
 
 std::string stats_json(const verify::VerifyStats& s) {
   std::string out = "{";
-  bool first = true;
-  const auto field = [&](const char* name, uint64_t v) {
-    if (!first) out += ",";
-    first = false;
-    out += std::string("\"") + name + "\":" + std::to_string(v);
-  };
-  field("elements_summarized", s.elements_summarized);
-  field("summary_cache_hits", s.summary_cache_hits);
-  field("segments_total", s.segments_total);
-  field("suspects_found", s.suspects_found);
-  field("suspects_eliminated", s.suspects_eliminated);
-  field("composed_paths_checked", s.composed_paths_checked);
-  field("solver_queries", s.solver_queries);
-  field("instructions_interpreted", s.instructions_interpreted);
-  field("forks", s.forks);
-  field("refinements_attempted", s.refinements_attempted);
-  field("refinements_certified", s.refinements_certified);
-  field("refinements_eliminated", s.refinements_eliminated);
-  field("sat_conflicts", s.sat_conflicts);
-  field("sat_decisions", s.sat_decisions);
-  field("blast_nodes", s.blast_nodes);
-  field("solver_cache_hits", s.solver_cache_hits);
-  field("contexts_opened", s.contexts_opened);
-  field("incremental_queries", s.incremental_queries);
-  field("assumption_reuses", s.assumption_reuses);
-  field("learnt_retained", s.learnt_retained);
-  field("sat_solves", s.sat_solves);
-  field("exhaustion_decided", s.exhaustion_decided);
-  field("slice_decided", s.slice_decided);
-  field("cex_cache_hits", s.cex_cache_hits);
-  field("core_discharges", s.core_discharges);
-  field("suspects_core_discharged", s.suspects_core_discharged);
-  field("learnt_gc_runs", s.learnt_gc_runs);
-  field("learnt_gc_removed", s.learnt_gc_removed);
-  field("decision_cache_hits", s.decision_cache_hits);
-  field("refine_cache_hits", s.refine_cache_hits);
+  for (const auto& [name, field] : verify::kVerifyStatFields) {
+    if (out.size() > 1) out += ",";
+    out += std::string("\"") + name + "\":" + std::to_string(s.*field);
+  }
   out += "}";
   return out;
 }

@@ -13,8 +13,7 @@ namespace vsd::spec {
 
 std::string json_quote(const std::string& s);
 
-// Every VerifyStats counter, spelled with the struct's field names so the
-// schema tracks the header.
+// Every VerifyStats counter, keyed by its verify::kVerifyStatFields name.
 std::string stats_json(const verify::VerifyStats& s);
 
 // One assertion outcome: verdict, detail, counterexamples (full packet

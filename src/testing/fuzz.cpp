@@ -217,13 +217,6 @@ struct Runner {
     // Unknown verdict simply yields no oracle for that property.
     vc.max_composed_paths = 1u << 16;
     vc.max_refine_paths = 1u << 10;
-    // Determinism over wall clock: the default refinement budget is
-    // seconds-based, which would make verdicts depend on machine load and
-    // flake the cross-check / same-seed contracts. Cap by interpreted
-    // instructions instead — same honest Unknown past the budget, but
-    // byte-identical on any host.
-    vc.refine_time_budget_seconds = 0.0;
-    vc.refine_max_instructions = 5'000'000;
     vc.refine_max_solver_checks = 2048;
     vc.max_state_keys = 512;
     return vc;

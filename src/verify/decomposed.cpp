@@ -225,7 +225,6 @@ class DecomposedVerifier::Impl {
                         : symbex::ForkCheck::FoldOnly;
     eo.solver = &sv;
     if (refine) {
-      eo.time_budget_seconds = cfg.refine_time_budget_seconds;
       if (cfg.refine_max_instructions != 0) {
         eo.max_instructions = cfg.refine_max_instructions;
       }

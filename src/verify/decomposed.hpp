@@ -59,27 +59,14 @@ struct DecomposedConfig {
   // (terminals reached along the trace, violating or not) before giving
   // up as Unknown.
   uint64_t max_refine_paths = 1u << 14;
-  // Wall-clock budget for each exact (unrolled) element summarization the
-  // refinement requests. Unrolling a loop-heavy element at MTU-ish packet
-  // lengths can blow up (the reason ExactAll is not the default precision)
-  // — past the budget the refinement honestly gives up as Unknown instead
-  // of hanging. 0 = unlimited.
-  double refine_time_budget_seconds = 5.0;
-  // Deterministic alternative to the wall-clock budget: cap the
-  // interpreted-instruction count of each refinement summarization
-  // (exceeding it truncates the summary -> the refinement gives up as
-  // Unknown). Unlike the seconds budget, the outcome cannot depend on
-  // machine load or scheduling — the differential fuzz harness runs with
-  // this cap and the seconds budget off so its verdicts are byte-identical
-  // across runs, hosts, and --jobs values. 0 = no instruction cap.
-  uint64_t refine_max_instructions = 0;
-  // Companion cap on the solver fork-checks those summarizations issue
-  // (0 = unlimited). Refinement unrolls with ForkCheck::Solver, so its
-  // wall cost is dominated by per-fork feasibility queries — an
-  // instruction cap alone can still admit hours of deterministic work on
-  // an option-walking loop. Deterministic like the instruction cap;
-  // exceeding it truncates the summary (refinement gives up as Unknown).
-  uint64_t refine_max_solver_checks = 0;
+  // Caps on each exact (unrolled) summarization the refinement requests:
+  // interpreted instructions, and solver fork-checks (unrolling forks on
+  // the solver, so an option-walking loop can pass the instruction cap and
+  // still cost hours of queries). Past either cap the summary is truncated
+  // and the refinement gives up as Unknown instead of hanging. Counts, not
+  // seconds: no verdict depends on machine load or --jobs. 0 = no cap.
+  uint64_t refine_max_instructions = 5'000'000;
+  uint64_t refine_max_solver_checks = 4096;
   // Worker threads for the work-queue engine: the Step-2 walk summarizes
   // each element on first visit and walks/decides stitched paths
   // concurrently, each worker with its own solver instance. 1 runs the

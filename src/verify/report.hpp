@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/ir.hpp"
@@ -36,8 +38,8 @@ struct Counterexample {
 };
 
 struct VerifyStats {
-  size_t elements_summarized = 0;
-  size_t summary_cache_hits = 0;
+  uint64_t elements_summarized = 0;
+  uint64_t summary_cache_hits = 0;
   uint64_t segments_total = 0;
   uint64_t suspects_found = 0;         // Step 1 conservative tags
   uint64_t suspects_eliminated = 0;    // killed by Step 2 composition
@@ -86,43 +88,53 @@ struct VerifyStats {
   // solving. Zero unless DecomposedConfig::decision_cache is set.
   uint64_t decision_cache_hits = 0;
   uint64_t refine_cache_hits = 0;
-
-  // Field-wise sum: how per-worker blocks merge into one call's totals. A
-  // new counter must be added here too, or it merges as 0.
-  VerifyStats& operator+=(const VerifyStats& o) {
-    elements_summarized += o.elements_summarized;
-    summary_cache_hits += o.summary_cache_hits;
-    segments_total += o.segments_total;
-    suspects_found += o.suspects_found;
-    suspects_eliminated += o.suspects_eliminated;
-    composed_paths_checked += o.composed_paths_checked;
-    solver_queries += o.solver_queries;
-    instructions_interpreted += o.instructions_interpreted;
-    forks += o.forks;
-    refinements_attempted += o.refinements_attempted;
-    refinements_certified += o.refinements_certified;
-    refinements_eliminated += o.refinements_eliminated;
-    sat_conflicts += o.sat_conflicts;
-    sat_decisions += o.sat_decisions;
-    blast_nodes += o.blast_nodes;
-    solver_cache_hits += o.solver_cache_hits;
-    contexts_opened += o.contexts_opened;
-    incremental_queries += o.incremental_queries;
-    assumption_reuses += o.assumption_reuses;
-    learnt_retained += o.learnt_retained;
-    sat_solves += o.sat_solves;
-    exhaustion_decided += o.exhaustion_decided;
-    slice_decided += o.slice_decided;
-    cex_cache_hits += o.cex_cache_hits;
-    core_discharges += o.core_discharges;
-    suspects_core_discharged += o.suspects_core_discharged;
-    learnt_gc_runs += o.learnt_gc_runs;
-    learnt_gc_removed += o.learnt_gc_removed;
-    decision_cache_hits += o.decision_cache_hits;
-    refine_cache_hits += o.refine_cache_hits;
-    return *this;
-  }
 };
+
+// Every VerifyStats counter with its name, in declaration order: the merge
+// below, spec::stats_json and `vsd ... --stats` all walk this one list, and
+// the size check fails the build when a counter is missing from it.
+inline constexpr std::pair<const char*, uint64_t VerifyStats::*>
+    kVerifyStatFields[] = {
+    {"elements_summarized", &VerifyStats::elements_summarized},
+    {"summary_cache_hits", &VerifyStats::summary_cache_hits},
+    {"segments_total", &VerifyStats::segments_total},
+    {"suspects_found", &VerifyStats::suspects_found},
+    {"suspects_eliminated", &VerifyStats::suspects_eliminated},
+    {"composed_paths_checked", &VerifyStats::composed_paths_checked},
+    {"solver_queries", &VerifyStats::solver_queries},
+    {"instructions_interpreted", &VerifyStats::instructions_interpreted},
+    {"forks", &VerifyStats::forks},
+    {"refinements_attempted", &VerifyStats::refinements_attempted},
+    {"refinements_certified", &VerifyStats::refinements_certified},
+    {"refinements_eliminated", &VerifyStats::refinements_eliminated},
+    {"sat_conflicts", &VerifyStats::sat_conflicts},
+    {"sat_decisions", &VerifyStats::sat_decisions},
+    {"blast_nodes", &VerifyStats::blast_nodes},
+    {"solver_cache_hits", &VerifyStats::solver_cache_hits},
+    {"contexts_opened", &VerifyStats::contexts_opened},
+    {"incremental_queries", &VerifyStats::incremental_queries},
+    {"assumption_reuses", &VerifyStats::assumption_reuses},
+    {"learnt_retained", &VerifyStats::learnt_retained},
+    {"sat_solves", &VerifyStats::sat_solves},
+    {"exhaustion_decided", &VerifyStats::exhaustion_decided},
+    {"slice_decided", &VerifyStats::slice_decided},
+    {"cex_cache_hits", &VerifyStats::cex_cache_hits},
+    {"core_discharges", &VerifyStats::core_discharges},
+    {"suspects_core_discharged", &VerifyStats::suspects_core_discharged},
+    {"learnt_gc_runs", &VerifyStats::learnt_gc_runs},
+    {"learnt_gc_removed", &VerifyStats::learnt_gc_removed},
+    {"decision_cache_hits", &VerifyStats::decision_cache_hits},
+    {"refine_cache_hits", &VerifyStats::refine_cache_hits},
+};
+static_assert(sizeof(VerifyStats) ==
+                  std::size(kVerifyStatFields) * sizeof(uint64_t),
+              "every VerifyStats counter must be listed in kVerifyStatFields");
+
+// Field-wise sum: how per-worker blocks merge into one call's totals.
+inline VerifyStats& operator+=(VerifyStats& a, const VerifyStats& b) {
+  for (const auto& f : kVerifyStatFields) a.*f.second += b.*f.second;
+  return a;
+}
 
 struct CrashFreedomReport {
   Verdict verdict = Verdict::Unknown;

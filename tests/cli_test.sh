@@ -131,6 +131,8 @@ expect_usage_error "run --seed -3 rejected" \
   "$VSD" run "Classifier" --packets 1 --seed -3
 expect_usage_error "run --pcap-like missing file rejected" \
   "$VSD" run "Classifier" --pcap-like /no/such/file.pkt
+expect_usage_error "run --packets 0 rejected" \
+  "$VSD" run "Classifier" --packets 0
 expect_ok "run valid invocation exits 0" \
   "$VSD" run "Classifier" --packets 16 --batch 4 --seed 7
 expect_ok "run --no-compiled exits 0" \
@@ -144,6 +146,125 @@ for flag in --no-rewrite --no-independence --no-cex-cache \
   expect_usage_error "check rejects retired $flag" \
     "$VSD" check "$PACK" "$flag"
 done
+
+# verify, reach, state and profile check the spec their flags describe
+# through the same checker as `vsd check`. The exit codes of the
+# verification commands in the README and the verify skill must not change.
+expect_code() {
+  desc="$1"; want="$2"; shift 2
+  "$@" > /dev/null 2>&1
+  code=$?
+  if [ "$code" -eq "$want" ]; then
+    echo "ok: $desc"
+  else
+    echo "FAIL: $desc: expected exit $want, got $code"
+    fails=$((fails + 1))
+  fi
+}
+
+ROUTER="Classifier -> EthDecap -> CheckIPHeader -> IPLookup(10.0.0.0/8 0)"
+expect_code "verify crash of the router proven" 0 \
+  "$VSD" verify "$ROUTER" --property crash
+expect_code "verify bound proven" 0 \
+  "$VSD" verify "CheckIPHeader -> DecIPTTL -> IPOptions" --property bound \
+  --len 46
+expect_code "reach 10.1.2.3 proven" 0 "$VSD" reach "$ROUTER" --dst 10.1.2.3
+expect_code "reach 8.8.8.8 violated" 1 "$VSD" reach "$ROUTER" --dst 8.8.8.8
+expect_code "state NetFlow violated" 1 \
+  "$VSD" state "NetFlow" --bound 2 --len 40
+expect_code "state Counter proven" 0 "$VSD" state "Counter" --bound 2
+expect_code "verify UnsafeStrip crash violated" 1 \
+  "$VSD" verify "UnsafeStrip(14) -> CheckIPHeader -> Discard" \
+  --property crash --len 8
+expect_code "verify NetFlow(strict) crash violated" 1 \
+  "$VSD" verify "NetFlow(strict)" --property crash --len 40
+
+# reach prints the counterexample `vsd check` finds for the same property
+# written as a spec file.
+SPECS=$(mktemp -d)
+cat > "$SPECS/reach.vspec" <<EOF
+pipeline "$ROUTER";
+let to_dst = wellformed_checksummed && ip.dst == 8.8.8.8;
+assert never(drop) when to_dst;
+EOF
+reach_ce=$("$VSD" reach "$ROUTER" --dst 8.8.8.8 | grep -E '^  (packet|replay):')
+check_ce=$("$VSD" check "$SPECS/reach.vspec" | grep -E '^  (packet|replay):')
+if [ -n "$reach_ce" ] && [ "$reach_ce" = "$check_ce" ]; then
+  echo "ok: reach and check print the same counterexample"
+else
+  echo "FAIL: reach and check counterexamples differ:"
+  echo "$reach_ce"
+  echo "$check_ce"
+  fails=$((fails + 1))
+fi
+
+# The retired --unroll flag, a misspelled element (with its did-you-mean),
+# an out-of-range --len, and arguments that would add statements to the
+# written spec are usage or spec errors.
+expect_usage_error "verify rejects the retired --unroll" \
+  "$VSD" verify "Classifier" --property crash --unroll
+expect_exit2 "verify --len 0 rejected" \
+  "$VSD" verify "Classifier" --property crash --len 0
+expect_exit2 "state --element Countr rejected" \
+  "$VSD" state "Counter" --bound 2 --element Countr
+if "$VSD" state "Counter" --bound 2 --element Countr 2>&1 |
+    grep -q "did you mean 'Counter'"; then
+  echo "ok: state --element Countr suggests Counter"
+else
+  echo "FAIL: state --element Countr printed no did-you-mean"
+  fails=$((fails + 1))
+fi
+expect_exit2 "a quote in the pipeline rejected" \
+  "$VSD" verify 'Classifier"; assert never(drop); #' --property crash
+expect_usage_error "a non-identifier --element rejected" \
+  "$VSD" state "NetFlow" --bound 2 --element 'NetFlow) <= 9; assert crash_free'
+expect_usage_error "a non-address --dst rejected" \
+  "$VSD" reach "$ROUTER" --dst '8.8.8.8; assert crash_free'
+
+# vsd asm and vsd verify-ir on hand-written elements: a TTL checker that
+# guards its packet read, and one that does not.
+cat > "$SPECS/ttl.vsd" <<'EOF'
+program MiniTtl ports=2
+func main
+block b0
+  %len:32 = pkt.len
+  %min:32 = const 9
+  %ok:1 = ule %min, %len
+  br %ok, @b1, @b2
+block b1
+  %ttl:8 = pkt.load off=8 n=1
+  %one:8 = const 1
+  %alive:1 = ult %one, %ttl
+  br %alive, @b3, @b4
+block b2
+  drop
+block b3
+  %dec:8 = sub %ttl, %one
+  pkt.store off=8 n=1, %dec
+  emit 0
+block b4
+  emit 1
+EOF
+cat > "$SPECS/unguarded.vsd" <<'EOF'
+program Unguarded ports=1
+func main
+block b0
+  %ttl:8 = pkt.load off=8 n=1
+  emit 0
+EOF
+if "$VSD" asm "$SPECS/ttl.vsd" --print | grep -q "^assembled @MiniTtl"; then
+  echo "ok: asm assembles a hand-written element"
+else
+  echo "FAIL: asm did not assemble ttl.vsd"
+  fails=$((fails + 1))
+fi
+expect_code "verify-ir crash of the guarded element proven" 0 \
+  "$VSD" verify-ir "$SPECS/ttl.vsd" --property crash --len 4
+expect_code "verify-ir bound proven" 0 \
+  "$VSD" verify-ir "$SPECS/ttl.vsd" --property bound
+expect_code "verify-ir crash of the unguarded element violated" 1 \
+  "$VSD" verify-ir "$SPECS/unguarded.vsd" --property crash --len 4
+rm -rf "$SPECS"
 
 # A valid invocation still works.
 if "$VSD" verify "Classifier -> EthDecap" --property crash --jobs 2 \

@@ -11,6 +11,7 @@
 #include "spec/compile.hpp"
 #include "spec/lexer.hpp"
 #include "spec/parser.hpp"
+#include "spec/report_json.hpp"
 #include "symbex/sym_packet.hpp"
 #include "verify/predicates.hpp"
 
@@ -590,6 +591,70 @@ TEST(Check, ReachableFailsWhenPacketsExitElsewhere) {
   ASSERT_FALSE(rep.outcomes[0].replays.empty());
   EXPECT_TRUE(rep.outcomes[0].replays_confirm)
       << rep.outcomes[0].replays[0];
+}
+
+// --- JSON report ----------------------------------------------------------------
+
+TEST(ReportJson, StatsKeysKeepTheirNamesAndOrder) {
+  // Serve clients and bench/e2e read these 30 keys by name, in this order.
+  // Each counter is set through its own field with a distinct value, so a
+  // key bound to the wrong field fails here too.
+  const verify::VerifyStats s{
+      .elements_summarized = 1,
+      .summary_cache_hits = 2,
+      .segments_total = 3,
+      .suspects_found = 4,
+      .suspects_eliminated = 5,
+      .composed_paths_checked = 6,
+      .solver_queries = 7,
+      .instructions_interpreted = 8,
+      .forks = 9,
+      .refinements_attempted = 10,
+      .refinements_certified = 11,
+      .refinements_eliminated = 12,
+      .sat_conflicts = 13,
+      .sat_decisions = 14,
+      .blast_nodes = 15,
+      .solver_cache_hits = 16,
+      .contexts_opened = 17,
+      .incremental_queries = 18,
+      .assumption_reuses = 19,
+      .learnt_retained = 20,
+      .sat_solves = 21,
+      .exhaustion_decided = 22,
+      .slice_decided = 23,
+      .cex_cache_hits = 24,
+      .core_discharges = 25,
+      .suspects_core_discharged = 26,
+      .learnt_gc_runs = 27,
+      .learnt_gc_removed = 28,
+      .decision_cache_hits = 29,
+      .refine_cache_hits = 30,
+  };
+  EXPECT_EQ(stats_json(s),
+            "{"
+            "\"elements_summarized\":1,\"summary_cache_hits\":2,"
+            "\"segments_total\":3,\"suspects_found\":4,"
+            "\"suspects_eliminated\":5,\"composed_paths_checked\":6,"
+            "\"solver_queries\":7,\"instructions_interpreted\":8,"
+            "\"forks\":9,\"refinements_attempted\":10,"
+            "\"refinements_certified\":11,\"refinements_eliminated\":12,"
+            "\"sat_conflicts\":13,\"sat_decisions\":14,"
+            "\"blast_nodes\":15,\"solver_cache_hits\":16,"
+            "\"contexts_opened\":17,\"incremental_queries\":18,"
+            "\"assumption_reuses\":19,\"learnt_retained\":20,"
+            "\"sat_solves\":21,\"exhaustion_decided\":22,"
+            "\"slice_decided\":23,\"cex_cache_hits\":24,"
+            "\"core_discharges\":25,\"suspects_core_discharged\":26,"
+            "\"learnt_gc_runs\":27,\"learnt_gc_removed\":28,"
+            "\"decision_cache_hits\":29,\"refine_cache_hits\":30"
+            "}");
+  // The merge sums every counter.
+  verify::VerifyStats twice = s;
+  twice += s;
+  for (const auto& [name, field] : verify::kVerifyStatFields) {
+    EXPECT_EQ(twice.*field, 2 * (s.*field)) << name;
+  }
 }
 
 }  // namespace

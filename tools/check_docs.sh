@@ -6,6 +6,10 @@
 #   2. the vspec reference (docs/vspec.md) mentions every keyword the
 #      vspec parser actually accepts — adding a keyword to the grammar
 #      without documenting it fails this check.
+#   3. every registry element has a tests/packs/ property pack;
+#   4. every fenced `vsd <cmd> ...` line in README.md, docs/*.md and the
+#      verify skill names a command of the CLI's flag matrix and passes
+#      only flags that command accepts.
 #
 # Run from the repo root: ./tools/check_docs.sh
 set -u
@@ -79,9 +83,38 @@ for pack in tests/packs/*.vspec; do
   fi
 done
 
+# --- 4. CLI flag sync ---------------------------------------------------------
+# "cmd: flag..." per `m["cmd"] = ...;` statement of the flag matrix in
+# tools/vsd.cpp (with(obs, ...) adds trace and metrics). Each fenced doc
+# line running `vsd` or `./build/vsd` must name one of those commands and
+# use only its flags; quoted arguments and # comments are skipped.
+matrix=$(sed -n '/kMatrix = \[\] {/,/}();/p' tools/vsd.cpp | tr '\n;' ' \n' |
+  sed -n 's/.*m\["\([a-z-]*\)"\] = \(.*\)/\1 \2/p' | while read -r cmd rest; do
+    case "$rest" in *"with(obs"*) rest="$rest \"trace\" \"metrics\"" ;; esac
+    echo "$cmd:" $(echo "$rest" | grep -oE '"[a-z-]+"' | tr -d '"')
+  done)
+ncli=0
+while IFS=$'\t' read -r where line; do
+  ncli=$((ncli + 1))
+  args=$(echo "$line" | sed -e 's/"[^"]*"//g' -e 's/[[:space:]]#.*//')
+  cmd=$(echo "$args" | sed -E 's|^[[:space:]]*(\./build/)?vsd[[:space:]]+([^[:space:]]+).*|\2|')
+  allowed=$(echo "$matrix" | awk -v c="$cmd:" '$1 == c { $1 = ""; print $0 " " }')
+  if [ -z "$allowed" ]; then
+    echo "CLI OUT OF SYNC: $where: 'vsd $cmd' is not a command of tools/vsd.cpp"
+    fail=1
+  fi
+  for flag in $(echo "$args" | grep -oE -- '--[a-z][a-z0-9-]*'); do
+    case "$allowed" in *" ${flag#--} "*) ;; *)
+      echo "CLI OUT OF SYNC: $where: 'vsd $cmd' does not take $flag"; fail=1 ;;
+    esac
+  done
+done < <(awk 'FNR == 1 { fence = 0 } /^[[:space:]]*```/ { fence = !fence; next }
+  fence && /^[[:space:]]*(\.\/build\/)?vsd[[:space:]]+[^[:space:]]/ { print FILENAME ":" FNR "\t" $0 }' \
+  README.md docs/*.md .claude/skills/verify/SKILL.md)
+
 if [ "$fail" -eq 0 ]; then
   count=$(echo "$keywords" | wc -w | tr -d ' ')
   npacks=$(echo "$elements" | wc -w | tr -d ' ')
-  echo "docs OK: links resolve, vspec reference covers all $count parser keywords, $npacks property packs in sync"
+  echo "docs OK: links resolve, vspec reference covers all $count parser keywords, $npacks property packs in sync, $ncli fenced vsd lines match the CLI flags"
 fi
 exit "$fail"

@@ -3,44 +3,28 @@
 // and proves that the pipeline does (or does not) satisfy a target
 // property").
 //
-// Usage:
-//   vsd list
-//   vsd check    <file.vspec> [...] [--jobs N]   batch property checker
-//   vsd show     "<pipeline>"
-//   vsd run      "<pipeline>" [--packets N | --pcap-like FILE] [--batch B]
-//                [--traffic CLASS] [--seed S] [--no-compiled]
-//   vsd verify   "<pipeline>" --property crash|bound [--len N] [--unroll]
-//                [--jobs N]
-//   vsd reach    "<pipeline>" --dst A.B.C.D [--len N] [--eth-offset N]
-//                [--jobs N]
-//   vsd state    "<pipeline>" --bound N [--element NAME] [--len N]
-//                [--jobs N]                 bounded private-state occupancy
-//   vsd certify  "<base>" --candidate "<element>" [--after K] [--len N]
-//                [--jobs N]
-//   vsd baseline "<pipeline>" [--len N] [--budget SECONDS]
-//   vsd asm      <file.vsd>              assemble + validate a textual element
-//   vsd verify-ir <file.vsd> --property crash|bound [--len N]
-//
-// Pipelines use the registry config syntax, e.g.
-//   "Classifier -> EthDecap -> CheckIPHeader -> IPLookup(10.0.0.0/8 0)"
+// verify, reach, state and profile each write the spec their flags
+// describe and check it as `vsd check` does: one front door (parse_spec,
+// then check_spec), one printer, one exit-code rule. usage() lists every
+// command.
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <fstream>
-
-#include "backend/compiled.hpp"
 #include "cache/store.hpp"
 #include "cache/verdict_cache.hpp"
 #include "elements/registry.hpp"
@@ -60,7 +44,6 @@
 #include "verify/certify.hpp"
 #include "verify/decomposed.hpp"
 #include "verify/monolithic.hpp"
-#include "verify/predicates.hpp"
 
 using namespace vsd;
 
@@ -99,16 +82,23 @@ struct Args {
     }
     return parsed;
   }
+  // A path-valued flag: "" when absent, a usage error when given empty.
+  std::string get_path(const std::string& name, const char* what) const {
+    const std::string v = get(name, "");
+    if (flag(name) && v.empty()) {
+      throw UsageError("--" + name + " expects " + what);
+    }
+    return v;
+  }
 };
 
 Args parse_args(int argc, char** argv) {
   // Boolean flags never consume the next token — otherwise
   // `vsd check --stats file.vspec` would swallow the file as the flag's
   // value and silently check nothing.
-  static const char* kBoolFlags[] = {
-      "stats",         "one-shot",     "unroll",
-      "print",         "no-cross-check", "no-artifacts",
-      "no-compiled"};
+  static const char* kBoolFlags[] = {"stats",          "one-shot",
+                                     "print",          "no-cross-check",
+                                     "no-artifacts",   "no-compiled"};
   Args a;
   for (int i = 1; i < argc; ++i) {
     const std::string s = argv[i];
@@ -157,7 +147,7 @@ void check_flags(const Args& a) {
                            "out", "cache-dir", "no-compiled"});
     m["serve"] = with(obs, {"socket", "cache-dir", "jobs"});
     m["submit"] = with(obs, {"socket", "jobs"});
-    m["verify"] = with(obs, {"property", "len", "unroll", "jobs", "one-shot",
+    m["verify"] = with(obs, {"property", "len", "jobs", "one-shot",
                              "cache-dir", "stats"});
     m["reach"] = with(obs, {"dst", "eth-offset", "len", "jobs", "one-shot",
                             "stats"});
@@ -197,17 +187,23 @@ int usage() {
       "      run every assertion of the spec(s); --json writes a\n"
       "      machine-readable per-assertion report; --cache-dir reuses\n"
       "      verdicts from a persistent cross-run cache\n"
+      "  vsd verify \"<pipeline>\" --property crash|bound [--len N]\n"
+      "           [--jobs N] [--cache-dir DIR]\n"
+      "  vsd reach \"<pipeline>\" --dst A.B.C.D [--len N] [--eth-offset N] "
+      "[--jobs N]\n"
+      "  vsd state \"<pipeline>\" --bound N [--element NAME] [--len N] "
+      "[--jobs N]\n"
+      "  vsd profile \"<pipeline>\" [--len N] [--jobs N]\n"
+      "      check the spec the flags describe as vsd check does;\n"
+      "      profile adds per-phase/element/rung tables\n"
+      "      (--stats: check/verify/reach/state; --one-shot: those and\n"
+      "       profile; --trace FILE, --metrics FILE: every verification\n"
+      "       command; an undocumented flag is a usage error, exit 2)\n"
       "  vsd serve --socket PATH [--cache-dir DIR] [--jobs N]\n"
       "      verification daemon: accepts vspec jobs as newline-delimited\n"
       "      JSON over an AF_UNIX socket; SIGTERM drains and exits\n"
       "  vsd submit <file.vspec> --socket PATH [--jobs N]\n"
       "      send a spec to a running daemon and print its JSON report\n"
-      "      (verify/reach/state/check also take --stats for solver-layer\n"
-      "       counters and --one-shot to disable incremental solving;\n"
-      "       every verification subcommand also takes --trace FILE for a\n"
-      "       Chrome trace-event JSON and --metrics FILE for a JSONL\n"
-      "       metrics log; flags a subcommand does not document are usage\n"
-      "       errors, exit 2)\n"
       "  vsd fuzz [--seed S] [--pipelines N] [--packets N] [--sequences N]\n"
       "           [--sequence-len K] [--max-elems K] [--jobs N] [--out DIR]\n"
       "           [--no-cross-check] [--no-artifacts] [--cache-dir DIR]\n"
@@ -226,60 +222,22 @@ int usage() {
       "      compile the chain once, stream batched packets, report\n"
       "      packets/sec; --pcap-like replays hex-dump packets (the fuzz\n"
       "      .pkt artifact format); --no-compiled runs the interpreter\n"
-      "  vsd verify \"<pipeline>\" --property crash|bound [--len N] "
-      "[--unroll] [--jobs N] [--cache-dir DIR]\n"
-      "  vsd reach \"<pipeline>\" --dst A.B.C.D [--len N] [--eth-offset N] "
-      "[--jobs N]\n"
-      "  vsd state \"<pipeline>\" --bound N [--element NAME] [--len N] "
-      "[--jobs N]\n"
       "  vsd certify \"<base>\" --candidate \"<element>\" [--after K] "
       "[--len N] [--jobs N]\n"
       "  vsd baseline \"<pipeline>\" [--len N] [--budget SECONDS]\n"
       "  vsd paths \"<pipeline>\" [--len N] [--jobs N]  composed path "
       "listing\n"
-      "  vsd profile \"<pipeline>\" [--len N] [--jobs N]  per-element, "
-      "per-phase\n"
-      "      time/query attribution (runs crash + bound verification "
-      "traced)\n"
-      "  vsd asm <file.vsd>                        assemble + validate\n"
+      "  vsd asm <file.vsd> [--print]             assemble + validate\n"
       "  vsd verify-ir <file.vsd> --property crash|bound [--len N]");
   return 2;
 }
 
-// --stats: the solver-layer and verification counters of one property call
-// (CheckStats splits + the incremental decision-layer counters).
-void print_verify_stats(const verify::VerifyStats& s) {
-  const auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
-  std::printf(
-      "  stats: %llu solver queries, %llu composed paths, %llu suspects "
-      "(%llu eliminated)\n",
-      u(s.solver_queries), u(s.composed_paths_checked), u(s.suspects_found),
-      u(s.suspects_eliminated));
-  std::printf(
-      "  solver: %llu conflicts, %llu decisions, %llu blast nodes, "
-      "%llu cache hits\n",
-      u(s.sat_conflicts), u(s.sat_decisions), u(s.blast_nodes),
-      u(s.solver_cache_hits));
-  std::printf(
-      "  incremental: %llu contexts, %llu assumption queries, %llu "
-      "assumption reuses, %llu learnt retained\n",
-      u(s.contexts_opened), u(s.incremental_queries), u(s.assumption_reuses),
-      u(s.learnt_retained));
-  std::printf(
-      "  avoidance: %llu sat solves, %llu exhausted, %llu sliced, "
-      "%llu cex-cache hits, %llu core discharges (%llu suspects)\n",
-      u(s.sat_solves), u(s.exhaustion_decided), u(s.slice_decided),
-      u(s.cex_cache_hits), u(s.core_discharges),
-      u(s.suspects_core_discharged));
-  if (s.learnt_gc_runs != 0) {
-    std::printf("  clause gc: %llu run(s), %llu learnt clauses dropped\n",
-                u(s.learnt_gc_runs), u(s.learnt_gc_removed));
-  }
-  if (s.refinements_attempted != 0) {
-    std::printf(
-        "  refinement: %llu attempted, %llu certified, %llu eliminated\n",
-        u(s.refinements_attempted), u(s.refinements_certified),
-        u(s.refinements_eliminated));
+// --stats: every verification counter of one assertion, one per line so
+// that two runs diff cleanly.
+void print_stats(const verify::VerifyStats& s) {
+  for (const auto& [name, field] : verify::kVerifyStatFields) {
+    std::printf("    %-26s %llu\n", name,
+                static_cast<unsigned long long>(s.*field));
   }
 }
 
@@ -301,69 +259,76 @@ int cmd_list() {
   return 0;
 }
 
-// --- vsd check: the vspec batch checker -------------------------------------
-// (JSON serialization lives in spec/report_json.hpp, shared with the
-// serve daemon so the schemas cannot drift.)
+// --cache-dir DIR: "" when absent; a usage error when empty or when DIR
+// cannot be created and written.
+std::string cache_dir_flag(const Args& a) {
+  const std::string dir = a.get_path("cache-dir", "a directory path");
+  std::string err;
+  if (!dir.empty() && !cache::Store::validate_dir(dir, &err)) {
+    throw UsageError("--cache-dir: " + err);
+  }
+  return dir;
+}
 
-void print_check_outcome(const spec::AssertionOutcome& o) {
+// --- The front door: parse_spec, check_spec, one printer --------------------
+
+void print_outcome(const spec::AssertionOutcome& o) {
   std::printf("  %s  %s  [%s in %.2f s%s%s]\n", o.passed ? "PASS" : "FAIL",
               o.text.c_str(), verify::verdict_name(o.verdict), o.seconds,
               o.detail.empty() ? "" : "; ",
               o.detail.empty() ? "" : o.detail.c_str());
   for (size_t i = 0; i < o.counterexamples.size(); ++i) {
     print_counterexample(o.counterexamples[i]);
-    if (i < o.replays.size()) {
-      std::printf("  %s\n", o.replays[i].c_str());
-    }
+    if (i < o.replays.size()) std::printf("  %s\n", o.replays[i].c_str());
   }
 }
 
-int cmd_check(const Args& a) {
+// A spec to check: a .vspec file (`text` empty), or the spec a pipeline
+// command writes from its flags, named after the command.
+struct SpecSource {
+  std::string name;
+  std::string text;
+};
+
+// Checks each spec in turn and prints its report. Exit 0 when every
+// assertion passed, 1 when one failed, 2 on an unreadable file or a spec
+// error. --jobs, --one-shot, --stats, --json and --cache-dir are read here
+// for every command; the flag matrix decides which commands take them.
+int check_specs(const Args& a, const std::vector<SpecSource>& specs) {
   spec::CheckOptions opts;
   opts.jobs = a.get_u64("jobs", 1);
   opts.incremental = !a.flag("one-shot");
-  const bool with_stats = a.flag("stats");
-  const std::string json_path = a.get("json", "");
-  if (a.options.count("json") != 0 && json_path.empty()) {
-    throw UsageError("--json expects an output file path");
-  }
-  const std::string cache_dir = a.get("cache-dir", "");
-  if (a.options.count("cache-dir") != 0 && cache_dir.empty()) {
-    throw UsageError("--cache-dir expects a directory path");
-  }
+  const std::string json_path = a.get_path("json", "an output file path");
+  const std::string dir = cache_dir_flag(a);
   std::unique_ptr<cache::VerdictCache> cache;
-  if (!cache_dir.empty()) {
-    std::string err;
-    if (!cache::Store::validate_dir(cache_dir, &err)) {
-      throw UsageError("--cache-dir: " + err);
-    }
-    cache = std::make_unique<cache::VerdictCache>(cache_dir);
-    opts.cache = cache.get();
-  }
-  std::string json = "{\"specs\":[";
+  if (!dir.empty()) cache = std::make_unique<cache::VerdictCache>(dir);
+  opts.cache = cache.get();
+  std::string json;
   bool all_passed = true;
-  for (size_t i = 1; i < a.positional.size(); ++i) {
-    const std::string& path = a.positional[i];
+  for (const SpecSource& src : specs) {
+    const char* name = src.name.c_str();
     spec::SpecFile sf;
     try {
-      sf = spec::parse_spec(read_file(path));
+      sf = spec::parse_spec(src.text.empty() ? read_file(src.name) : src.text);
     } catch (const spec::SpecError& e) {
-      std::printf("%s:%s\n", path.c_str(), e.what());
+      // A written spec's positions point into text the user never saw.
+      const std::string w = e.what();
+      if (src.text.empty()) std::printf("%s:%s\n", name, w.c_str());
+      else std::printf("error: %s\n", w.substr(w.find(": ") + 2).c_str());
       return 2;
     } catch (const std::exception& e) {
-      std::printf("%s: %s\n", path.c_str(), e.what());
+      std::printf("%s: %s\n", name, e.what());
       return 2;
     }
-    std::printf("%s: pipeline \"%s\"\n", path.c_str(),
-                sf.pipeline_config.c_str());
+    std::printf("%s: pipeline \"%s\"\n", name, sf.pipeline_config.c_str());
     std::printf("  (packet_len %zu, ip_offset %zu, jobs %zu)\n",
                 sf.packet_len, sf.ip_offset, opts.jobs);
     const spec::CheckReport rep = spec::check_spec(sf, opts);
     for (const spec::AssertionOutcome& o : rep.outcomes) {
-      print_check_outcome(o);
-      if (with_stats) print_verify_stats(o.stats);
+      print_outcome(o);
+      if (a.flag("stats")) print_stats(o.stats);
     }
-    std::printf("%s: %zu/%zu assertions passed\n", path.c_str(), rep.passed,
+    std::printf("%s: %zu/%zu assertions passed\n", name, rep.passed,
                 rep.outcomes.size());
     if (cache != nullptr) {
       std::printf("  cache: %llu assertion hit(s), %llu miss(es)\n",
@@ -372,20 +337,89 @@ int cmd_check(const Args& a) {
     }
     all_passed = all_passed && rep.ok;
     if (!json_path.empty()) {
-      if (i != 1) json += ",";
-      json += spec::spec_report_json(path, sf, rep);
+      if (!json.empty()) json += ",";
+      json += spec::spec_report_json(src.name, sf, rep);
     }
   }
   if (!json_path.empty()) {
-    json += "],\"ok\":" + std::string(all_passed ? "true" : "false") + "}\n";
     std::ofstream out(json_path);
     if (!out) {
       std::printf("error: cannot write %s\n", json_path.c_str());
       return 2;
     }
-    out << json;
+    out << "{\"specs\":[" << json << "],\"ok\":"
+        << (all_passed ? "true" : "false") << "}\n";
   }
   return all_passed ? 0 : 1;
+}
+
+int cmd_check(const Args& a) {
+  std::vector<SpecSource> specs;
+  for (const std::string& path : a.positional) specs.push_back({path, ""});
+  specs.erase(specs.begin());  // the command name
+  return check_specs(a, specs);
+}
+
+// Checks the spec a pipeline command writes: the pipeline, --len, `body`.
+// The pipeline enters a string literal byte for byte, so a quote, backslash
+// or newline in it is a usage error rather than a way to add statements.
+int check_pipeline_spec(const Args& a, const std::string& body) {
+  const std::string& pipeline = a.positional[1];
+  if (pipeline.find_first_of("\"\\\n") != std::string::npos) {
+    throw UsageError("the pipeline must not contain '\"', '\\' or a newline");
+  }
+  return check_specs(a, {{a.positional[0],
+                          "pipeline \"" + pipeline + "\";\nset packet_len = " +
+                              std::to_string(a.get_u64("len", 64)) + ";\n" +
+                              body}});
+}
+
+// `instructions <= 2^64-1` holds whenever the verifier bounds the count,
+// so the assertion passes exactly when the bound is proven.
+constexpr const char* kCrashFree = "assert crash_free;\n";
+constexpr const char* kAnyBound =
+    "assert instructions <= 18446744073709551615;\n";
+
+int cmd_verify(const Args& a) {
+  const std::string prop = a.get("property", "crash");
+  if (prop != "crash" && prop != "bound") {
+    throw UsageError("--property expects crash or bound, got '" + prop + "'");
+  }
+  return check_pipeline_spec(a, prop == "crash" ? kCrashFree : kAnyBound);
+}
+
+int cmd_reach(const Args& a) {
+  const std::string dst = a.get("dst", "10.0.0.1");
+  std::string canonical;
+  try {
+    canonical = net::format_ipv4(net::parse_ipv4(dst));
+  } catch (const std::exception&) {
+    throw UsageError("--dst expects an IPv4 address, got '" + dst + "'");
+  }
+  // Clamped so the sum cannot wrap; parse_spec bounds ip_offset.
+  const uint64_t ip_offset =
+      std::min<uint64_t>(a.get_u64("eth-offset", 0), UINT32_MAX) + 14;
+  return check_pipeline_spec(
+      a, "set ip_offset = " + std::to_string(ip_offset) +
+             ";\nassert never(drop) when wellformed_checksummed && ip.dst == " +
+             canonical + ";\n");
+}
+
+int cmd_state(const Args& a) {
+  const std::string elem = a.get("element", "");
+  const bool ident =
+      !elem.empty() && !std::isdigit(static_cast<unsigned char>(elem[0])) &&
+      std::all_of(elem.begin(), elem.end(), [](unsigned char c) {
+        return std::isalnum(c) || c == '_';
+      });
+  if (!elem.empty() && !ident) {
+    throw UsageError("--element expects an element name, got '" + elem + "'");
+  }
+  const std::string prop =
+      ident ? "flow_occupancy(" + elem + ")" : "bounded_state";
+  return check_pipeline_spec(a, "assert " + prop + " <= " +
+                                    std::to_string(a.get_u64("bound", 0)) +
+                                    ";\n");
 }
 
 // --- vsd fuzz: the differential fuzzing harness -------------------------------
@@ -420,16 +454,7 @@ int cmd_fuzz(const Args& a) {
   cfg.gen.max_chain = a.get_u64("max-elems", 4);
   cfg.cross_check = !a.flag("no-cross-check");
   cfg.compiled = !a.flag("no-compiled");
-  cfg.cache_dir = a.get("cache-dir", "");
-  if (a.options.count("cache-dir") != 0 && cfg.cache_dir.empty()) {
-    throw UsageError("--cache-dir expects a directory path");
-  }
-  if (!cfg.cache_dir.empty()) {
-    std::string err;
-    if (!cache::Store::validate_dir(cfg.cache_dir, &err)) {
-      throw UsageError("--cache-dir: " + err);
-    }
-  }
+  cfg.cache_dir = cache_dir_flag(a);
   cfg.artifact_dir = a.flag("no-artifacts") ? "" : a.get("out", "fuzz-failures");
   const fuzz::FuzzReport report = fuzz::run_fuzz(cfg);
   std::printf("%s", report.summary().c_str());
@@ -535,10 +560,7 @@ int cmd_run(const Args& a) {
   if (batch == 0) throw UsageError("--batch must be at least 1");
 
   std::vector<net::Packet> inputs;
-  const std::string pcap_like = a.get("pcap-like", "");
-  if (a.options.count("pcap-like") != 0 && pcap_like.empty()) {
-    throw UsageError("--pcap-like expects an input file path");
-  }
+  const std::string pcap_like = a.get_path("pcap-like", "an input file path");
   if (!pcap_like.empty()) {
     inputs = read_pcap_like(pcap_like);
     if (inputs.empty()) {
@@ -548,6 +570,7 @@ int cmd_run(const Args& a) {
     net::WorkloadConfig cfg;
     // --packets is the documented spelling; --count is the historical one.
     cfg.count = a.get_u64("packets", a.get_u64("count", 1000));
+    if (cfg.count == 0) throw UsageError("--packets must be at least 1");
     cfg.seed = a.get_u64("seed", 1);
     const std::string traffic = a.get("traffic", "wellformed");
     if (traffic == "wellformed") cfg.traffic = net::TrafficClass::WellFormed;
@@ -612,134 +635,6 @@ int cmd_run(const Args& a) {
   return trapped == 0 ? 0 : 1;
 }
 
-int cmd_verify(const Args& a) {
-  pipeline::Pipeline pl = elements::parse_pipeline(a.positional[1]);
-  verify::DecomposedConfig cfg;
-  cfg.packet_len = a.get_u64("len", 64);
-  if (a.flag("unroll")) cfg.loop_mode = symbex::LoopMode::Unroll;
-  cfg.jobs = a.get_u64("jobs", 1);  // 0 = one worker per hardware thread
-  cfg.incremental = !a.flag("one-shot");
-  // Persistent cross-run verdict cache, as on `vsd check` / `vsd serve`.
-  // (This used to be silently ignored here although the docs promise it.)
-  const std::string cache_dir = a.get("cache-dir", "");
-  if (a.options.count("cache-dir") != 0 && cache_dir.empty()) {
-    throw UsageError("--cache-dir expects a directory path");
-  }
-  std::unique_ptr<cache::VerdictCache> cache;
-  if (!cache_dir.empty()) {
-    std::string err;
-    if (!cache::Store::validate_dir(cache_dir, &err)) {
-      throw UsageError("--cache-dir: " + err);
-    }
-    cache = std::make_unique<cache::VerdictCache>(cache_dir);
-    cfg.decision_cache = cache.get();
-  }
-  verify::DecomposedVerifier verifier(cfg);
-
-  const std::string prop = a.get("property", "crash");
-  if (prop == "crash") {
-    const verify::CrashFreedomReport r = verifier.verify_crash_freedom(pl);
-    std::printf("crash-freedom (len %zu): %s in %.2f s\n", cfg.packet_len,
-                verify::verdict_name(r.verdict), r.seconds);
-    std::printf("  suspects %llu, eliminated %llu, elements summarized %llu "
-                "(+%llu cached)\n",
-                static_cast<unsigned long long>(r.stats.suspects_found),
-                static_cast<unsigned long long>(r.stats.suspects_eliminated),
-                static_cast<unsigned long long>(r.stats.elements_summarized),
-                static_cast<unsigned long long>(r.stats.summary_cache_hits));
-    if (a.flag("stats")) print_verify_stats(r.stats);
-    for (const auto& ce : r.counterexamples) print_counterexample(ce);
-    return r.verdict == verify::Verdict::Proven ? 0 : 1;
-  }
-  if (prop == "bound") {
-    const verify::InstructionBoundReport r =
-        verifier.verify_instruction_bound(pl);
-    std::printf("instruction bound (len %zu): %s, max %llu%s in %.2f s\n",
-                cfg.packet_len, verify::verdict_name(r.verdict),
-                static_cast<unsigned long long>(r.max_instructions),
-                r.bound_is_exact ? " (exact)" : " (upper bound)", r.seconds);
-    if (r.witness) {
-      std::printf("  witness (%llu instrs on replay): %s\n",
-                  static_cast<unsigned long long>(r.witness_instructions),
-                  r.witness->hex(48).c_str());
-    }
-    if (a.flag("stats")) print_verify_stats(r.stats);
-    return r.verdict == verify::Verdict::Proven ? 0 : 1;
-  }
-  std::printf("unknown property: %s\n", prop.c_str());
-  return 2;
-}
-
-int cmd_reach(const Args& a) {
-  pipeline::Pipeline pl = elements::parse_pipeline(a.positional[1]);
-  const uint32_t dst = net::parse_ipv4(a.get("dst", "10.0.0.1"));
-  const size_t eth_off = a.get_u64("eth-offset", 0);
-  verify::DecomposedConfig cfg;
-  cfg.packet_len = a.get_u64("len", 64);
-  cfg.jobs = a.get_u64("jobs", 1);
-  cfg.incremental = !a.flag("one-shot");
-  verify::DecomposedVerifier verifier(cfg);
-  const verify::ReachabilityReport r = verifier.verify_never_dropped(
-      pl, [&](const symbex::SymPacket& p) {
-        return verify::both(verify::wellformed_ipv4_checksummed(p, eth_off),
-                            verify::dst_ip_is(p, dst, eth_off + 14));
-      });
-  std::printf(
-      "'well-formed packets to %s are never dropped': %s in %.2f s\n",
-      net::format_ipv4(dst).c_str(), verify::verdict_name(r.verdict),
-      r.seconds);
-  if (a.flag("stats")) print_verify_stats(r.stats);
-  for (const auto& ce : r.counterexamples) print_counterexample(ce);
-  return r.verdict == verify::Verdict::Proven ? 0 : 1;
-}
-
-int cmd_state(const Args& a) {
-  pipeline::Pipeline pl = elements::parse_pipeline(a.positional[1]);
-  verify::DecomposedConfig cfg;
-  cfg.packet_len = a.get_u64("len", 64);
-  cfg.jobs = a.get_u64("jobs", 1);
-  cfg.incremental = !a.flag("one-shot");
-  verify::DecomposedVerifier verifier(cfg);
-  verify::StateBoundSpec spec;
-  spec.bound = a.get_u64("bound", 0);
-  spec.element = a.get("element", "");
-  if (!spec.element.empty()) {
-    // A misspelled element would silently bound an empty set of tables
-    // and "prove" occupancy 0 — reject it like the vspec checker does.
-    std::vector<std::string> names;
-    for (size_t e = 0; e < pl.size(); ++e) names.push_back(pl.element(e).name());
-    if (std::find(names.begin(), names.end(), spec.element) == names.end()) {
-      const std::string sugg = elements::nearest_name(spec.element, names);
-      std::printf("pipeline has no element named '%s'%s\n",
-                  spec.element.c_str(),
-                  sugg.empty() ? ""
-                               : (" (did you mean '" + sugg + "'?)").c_str());
-      return 2;
-    }
-  }
-  const verify::StateBoundReport r = verifier.verify_bounded_state(
-      pl, [](const symbex::SymPacket&) { return bv::mk_bool(true); }, spec);
-  std::printf("bounded state (%s <= %llu, len %zu): %s in %.2f s\n",
-              spec.element.empty() ? "pipeline" : spec.element.c_str(),
-              static_cast<unsigned long long>(spec.bound), cfg.packet_len,
-              verify::verdict_name(r.verdict), r.seconds);
-  if (a.flag("stats")) print_verify_stats(r.stats);
-  for (const verify::TableOccupancy& t : r.tables) {
-    std::printf("  [%zu] %s.%s: %llu distinct key(s)%s\n", t.element,
-                t.element_name.c_str(), t.table_name.c_str(),
-                static_cast<unsigned long long>(t.keys_found),
-                t.exhausted ? " (exhausted)" : "");
-  }
-  if (r.verdict == verify::Verdict::Violated) {
-    std::printf("  packet sequence inserting %llu entries:\n",
-                static_cast<unsigned long long>(r.occupancy));
-    for (const net::Packet& p : r.packet_sequence) {
-      std::printf("    %s\n", p.hex(32).c_str());
-    }
-  }
-  return r.verdict == verify::Verdict::Proven ? 0 : 1;
-}
-
 int cmd_certify(const Args& a) {
   verify::DecomposedConfig cfg;
   cfg.packet_len = a.get_u64("len", 64);
@@ -786,34 +681,19 @@ int cmd_paths(const Args& a) {
 // --- vsd profile: per-element, per-phase attribution ------------------------
 
 int cmd_profile(const Args& a) {
-  pipeline::Pipeline pl = elements::parse_pipeline(a.positional[1]);
-  verify::DecomposedConfig cfg;
-  cfg.packet_len = a.get_u64("len", 64);
-  cfg.jobs = a.get_u64("jobs", 1);
-  cfg.incremental = !a.flag("one-shot");
-  verify::DecomposedVerifier verifier(cfg);
-
   // Profile always traces (that's its whole point); with a global --trace
   // the sinks still get everything since enable() keeps prior events.
   obs::enable(true);
-  const verify::CrashFreedomReport crash = verifier.verify_crash_freedom(pl);
-  const verify::InstructionBoundReport bound =
-      verifier.verify_instruction_bound(pl);
-
-  std::printf("profile \"%s\" (len %zu, jobs %zu)\n",
-              a.positional[1].c_str(), cfg.packet_len, cfg.jobs);
-  std::printf("  crash-freedom: %s in %.2f s; instruction bound: %s "
-              "(max %llu) in %.2f s\n",
-              verify::verdict_name(crash.verdict), crash.seconds,
-              verify::verdict_name(bound.verdict),
-              static_cast<unsigned long long>(bound.max_instructions),
-              bound.seconds);
+  const int rc = check_pipeline_spec(a, std::string(kCrashFree) + kAnyBound);
+  if (rc == 2) return rc;
 
   const std::vector<obs::SpanEvent> events = obs::events_snapshot();
 
   // Per-phase: wall time and span count per category.
   std::map<std::string, std::pair<uint64_t, uint64_t>> by_cat;  // count, us
   for (const obs::SpanEvent& e : events) {
+    // An assertion span wraps its property driver's: count the driver only.
+    if (std::strcmp(e.name, "assertion") == 0) continue;
     auto& [n, us] = by_cat[obs::cat_name(e.cat)];
     ++n;
     us += e.dur_us;
@@ -881,7 +761,7 @@ int cmd_profile(const Args& a) {
     std::printf("  %-24s %10llu\n", name.substr(12).c_str(),
                 static_cast<unsigned long long>(value));
   }
-  return 0;
+  return rc;
 }
 
 int cmd_asm(const Args& a) {
@@ -937,16 +817,7 @@ int cmd_serve(const Args& a) {
   if (opts.socket_path.empty()) {
     throw UsageError("serve requires --socket <path>");
   }
-  opts.cache_dir = a.get("cache-dir", "");
-  if (a.options.count("cache-dir") != 0 && opts.cache_dir.empty()) {
-    throw UsageError("--cache-dir expects a directory path");
-  }
-  if (!opts.cache_dir.empty()) {
-    std::string err;
-    if (!cache::Store::validate_dir(opts.cache_dir, &err)) {
-      throw UsageError("--cache-dir: " + err);
-    }
-  }
+  opts.cache_dir = cache_dir_flag(a);
   opts.jobs = a.get_u64("jobs", 1);
 
   serve::Server server(opts);
@@ -1050,14 +921,9 @@ int main(int argc, char** argv) {
     // Tracing sinks are global so every command gets them for free.
     // Observational only: verdicts, exit codes, and counterexample bytes
     // are byte-identical with or without these flags (tests/obs_test.cpp).
-    const std::string trace_path = a.get("trace", "");
-    const std::string metrics_path = a.get("metrics", "");
-    if (a.options.count("trace") != 0 && trace_path.empty()) {
-      throw UsageError("--trace expects an output file path");
-    }
-    if (a.options.count("metrics") != 0 && metrics_path.empty()) {
-      throw UsageError("--metrics expects an output file path");
-    }
+    const std::string trace_path = a.get_path("trace", "an output file path");
+    const std::string metrics_path =
+        a.get_path("metrics", "an output file path");
     if (!trace_path.empty() || !metrics_path.empty()) obs::enable(true);
     rc = dispatch(a);
     if (!trace_path.empty() && !obs::write_chrome_trace(trace_path)) {
