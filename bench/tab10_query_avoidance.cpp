@@ -1,11 +1,10 @@
 // TAB10 — the query-avoidance pack vs the raw decision layer.
 //
-// Four query-avoidance rungs sit above the CDCL core in the solver's one
-// verdict ladder (see docs/architecture.md "Query avoidance"):
-// small-domain exhaustion, unsat-core grouping that discharges whole
-// stitched-suspect families from one core, a counterexample cache
-// replaying recent models, and independence slicing of variable-disjoint
-// conjuncts. DecomposedConfig::avoidance switches all four.
+// Three query-avoidance rungs sit above the CDCL core in the solver's one
+// verdict ladder (see docs/architecture.md "Query avoidance"): unsat-core
+// subsumption that discharges whole stitched-suspect families from one
+// core, small-domain exhaustion, and a counterexample cache replaying
+// recent models. DecomposedConfig::avoidance switches all three.
 //
 // This bench A/Bs avoidance on vs off on the two query-heavy
 // workloads and reports the number of queries that actually reached the
@@ -37,10 +36,8 @@ struct Measured {
   std::string verdict;
   uint64_t sat_solves = 0;  // queries that reached the CDCL core
   uint64_t exhausted = 0;
-  uint64_t slice_decided = 0;
   uint64_t cex_hits = 0;
   uint64_t core_discharges = 0;
-  uint64_t suspects_core = 0;
   // Everything output-visible, serialized: verdict + counterexample bytes
   // + packet sequences. Must be identical across every mode.
   std::string fingerprint;
@@ -67,17 +64,16 @@ verify::DecomposedConfig make_config(const Mode& m, size_t len) {
 void fill_stats(Measured* out, const verify::VerifyStats& s, double seconds) {
   out->sat_solves = s.sat_solves;
   out->exhausted = s.exhaustion_decided;
-  out->slice_decided = s.slice_decided;
   out->cex_hits = s.cex_cache_hits;
   out->core_discharges = s.core_discharges;
-  out->suspects_core = s.suspects_core_discharged;
   out->seconds = seconds;
 }
 
 void add_counterexamples(std::string* fp,
                          const std::vector<verify::Counterexample>& ces) {
   for (const verify::Counterexample& ce : ces) {
-    *fp += "|ce:" + ce.packet.hex(96) + ":" + ir::trap_name(ce.trap);
+    *fp += "|ce:" + ce.packet.hex(96) + ":" +
+           (ce.trap ? ir::trap_name(*ce.trap) : "-");
     for (const std::string& n : ce.element_path) *fp += ">" + n;
   }
 }
@@ -85,8 +81,8 @@ void add_counterexamples(std::string* fp,
 // Workload 1 — stitched Step-2 suspect decisions: the paper's worked
 // IP-router chain with the operator property "well-formed packets to
 // 10.1.2.3 reach output 0" (proven). Unsat-heavy: wrong-exit suspects
-// stitched over a shared infeasible prefix are exactly what core grouping
-// and independence slicing discharge without solving.
+// stitched over a shared infeasible prefix are exactly what core
+// subsumption discharges without solving.
 Measured ip_router_reach(const Mode& m) {
   pipeline::Pipeline pl = elements::parse_pipeline(
       "Classifier -> EthDecap -> CheckIPHeader -> "
@@ -202,7 +198,7 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   benchutil::Table t({"workload", "verdict", "mode", "sat solves", "exhausted",
-                      "sliced", "cex hits", "core disch", "time"});
+                      "cex hits", "core disch", "time"});
   for (const Row& w : workloads) {
     Mode off_mode;
     off_mode.avoidance = false;
@@ -217,16 +213,14 @@ int main(int argc, char** argv) {
     }
     const double red = reduction_percent(off.sat_solves, on.sat_solves);
     t.add_row({w.name, off.verdict, "layers off",
-               benchutil::fmt_u64(off.sat_solves), "-", "-", "-", "-",
+               benchutil::fmt_u64(off.sat_solves), "-", "-", "-",
                benchutil::fmt_seconds(off.seconds)});
     char modebuf[64];
     std::snprintf(modebuf, sizeof(modebuf), "layers on (-%.0f%%)", red);
     t.add_row({"", on.verdict, modebuf, benchutil::fmt_u64(on.sat_solves),
                benchutil::fmt_u64(on.exhausted),
-               benchutil::fmt_u64(on.slice_decided),
                benchutil::fmt_u64(on.cex_hits),
-               benchutil::fmt_u64(on.core_discharges) + "/" +
-                   benchutil::fmt_u64(on.suspects_core),
+               benchutil::fmt_u64(on.core_discharges),
                benchutil::fmt_seconds(on.seconds)});
     if (w.asserted && assert_improvement >= 0.0 && red < assert_improvement) {
       std::printf(
@@ -285,9 +279,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nexpected shape: the proven reach workload is Unsat-suspect-heavy — "
-      "core\ngrouping kills stitched families after the first core and "
-      "slicing splits\nvariable-disjoint conjuncts, so most queries never "
-      "reach the core. The\nenumeration workload keeps its irreducible "
+      "core\nsubsumption kills stitched families after the first core, so "
+      "most queries\nnever reach the CDCL core. The\nenumeration workload keeps its irreducible "
       "model-producing solves (each\nenumerated key needs a fresh model "
       "under new blocking clauses) and sheds\nthe rest; its packet sequence "
       "is byte-identical in every cell because\nmodels are always derived "

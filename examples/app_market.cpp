@@ -45,7 +45,7 @@ int main() {
     std::printf("%s\n", r.summary.c_str());
     if (!r.crash.counterexamples.empty()) {
       const verify::Counterexample& ce = r.crash.counterexamples.front();
-      std::printf("  crash witness (%s): %s\n", ir::trap_name(ce.trap),
+      std::printf("  crash witness (%s): %s\n", ir::trap_name(*ce.trap),
                   ce.packet.hex(24).c_str());
       if (!ce.state_note.empty()) {
         std::printf("  note: %s\n", ce.state_note.c_str());

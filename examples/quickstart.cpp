@@ -59,7 +59,8 @@ int main() {
               verify::verdict_name(broken.verdict));
   if (!broken.counterexamples.empty()) {
     const verify::Counterexample& ce = broken.counterexamples.front();
-    std::printf("counterexample (%s): %s\n", ir::trap_name(ce.trap),
+    // A crash counterexample always carries its trap kind.
+    std::printf("counterexample (%s): %s\n", ir::trap_name(*ce.trap),
                 ce.packet.hex().c_str());
     // Replay it to confirm: this very packet crashes the pipeline.
     net::Packet replay = ce.packet;

@@ -63,7 +63,7 @@ int main() {
                 verify::verdict_name(r.verdict));
     if (!r.counterexamples.empty()) {
       const verify::Counterexample& ce = r.counterexamples.front();
-      std::printf("  trap: %s\n  trigger packet: %s\n", ir::trap_name(ce.trap),
+      std::printf("  trap: %s\n  trigger packet: %s\n", ir::trap_name(*ce.trap),
                   ce.packet.hex(24).c_str());
       if (!ce.state_note.empty()) {
         std::printf("  %s\n", ce.state_note.c_str());

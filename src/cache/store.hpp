@@ -18,9 +18,10 @@ namespace vsd::cache {
 // budgets baked into cached decisions, trap-kind numbering, ...), or the
 // CNF encoding or the search of a solver whose models are reported changes
 // (the incremental context's branching, which bounded-state packet
-// sequences are read from), since entries carry SAT-model bytes: every
+// sequences are read from), since entries carry SAT-model bytes, or the
+// payload layout changes (the counterexample trap presence byte): every
 // entry written under another version becomes a miss.
-inline constexpr const char kEngineVersion[] = "vsd-engine-10";
+inline constexpr const char kEngineVersion[] = "vsd-engine-11";
 
 class Store {
  public:

@@ -65,7 +65,8 @@ void put_counterexample(std::vector<uint8_t>* out,
   for (const uint32_t m : ce.packet.all_meta()) put_u32(out, m);
   put_u64(out, ce.element_path.size());
   for (const auto& e : ce.element_path) put_str(out, e);
-  put_u8(out, static_cast<uint8_t>(ce.trap));
+  put_u8(out, ce.trap ? 1 : 0);
+  if (ce.trap) put_u8(out, static_cast<uint8_t>(*ce.trap));
   put_str(out, ce.state_note);
   put_u8(out, ce.requires_sequence ? 1 : 0);
 }
@@ -91,9 +92,17 @@ bool get_counterexample(const std::vector<uint8_t>& in, size_t* pos,
     if (!get_str(in, pos, &e)) return false;
     ce->element_path.push_back(std::move(e));
   }
-  uint8_t trap = 0, seq = 0;
-  if (!get_u8(in, pos, &trap)) return false;
-  ce->trap = static_cast<ir::TrapKind>(trap);
+  uint8_t has_trap = 0, seq = 0;
+  if (!get_u8(in, pos, &has_trap) || has_trap > 1) return false;
+  ce->trap.reset();
+  if (has_trap != 0) {
+    uint8_t trap = 0;
+    if (!get_u8(in, pos, &trap) ||
+        trap > static_cast<uint8_t>(ir::TrapKind::Unreachable)) {
+      return false;
+    }
+    ce->trap = static_cast<ir::TrapKind>(trap);
+  }
   if (!get_str(in, pos, &ce->state_note)) return false;
   if (!get_u8(in, pos, &seq)) return false;
   ce->requires_sequence = seq != 0;

@@ -2,9 +2,10 @@
 //
 // Three entry kinds share the store, distinguished by a kind tag folded
 // into the key:
-//   decision   Sat/Unsat of one constraint: a stitched suspect's
-//              elimination, or the solver memo rung's feasibility verdict
-//              (Solver::set_feasibility_memo)
+//   decision   Sat/Unsat of one constraint, keyed by its content: the
+//              solver memo rung's feasibility verdict
+//              (Solver::set_feasibility_memo), for fork checks and
+//              stitched suspects alike
 //   refine     outcome of a whole per-path unroll refinement, with the
 //              certified counterexample bytes on Sat
 //   assertion  a full AssertionOutcome of `vsd check` (verdict, detail,

@@ -10,17 +10,23 @@ uint32_t parse_ipv4(const std::string& s) {
   uint32_t out = 0;
   size_t pos = 0;
   for (int part = 0; part < 4; ++part) {
-    if (pos >= s.size()) throw std::invalid_argument("bad IPv4: " + s);
-    size_t next = 0;
-    const int v = std::stoi(s.substr(pos), &next);
-    if (v < 0 || v > 255) throw std::invalid_argument("bad IPv4 octet: " + s);
-    out = (out << 8) | static_cast<uint32_t>(v);
-    pos += next;
-    if (part < 3) {
-      if (pos >= s.size() || s[pos] != '.')
+    if (part != 0) {
+      if (pos >= s.size() || s[pos] != '.') {
         throw std::invalid_argument("bad IPv4: " + s);
+      }
       ++pos;
     }
+    // 1-3 ASCII digits: no sign, no whitespace, nothing that can overflow.
+    uint32_t v = 0;
+    size_t digits = 0;
+    for (; pos < s.size() && s[pos] >= '0' && s[pos] <= '9' && digits < 3;
+         ++pos, ++digits) {
+      v = v * 10 + static_cast<uint32_t>(s[pos] - '0');
+    }
+    if (digits == 0 || v > 255) {
+      throw std::invalid_argument("bad IPv4 octet: " + s);
+    }
+    out = (out << 8) | v;
   }
   if (pos != s.size()) throw std::invalid_argument("bad IPv4: " + s);
   return out;

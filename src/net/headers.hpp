@@ -33,7 +33,9 @@ inline constexpr uint8_t kIpOptSsrr = 137;
 inline constexpr uint8_t kIpOptRecordRoute = 7;
 inline constexpr uint8_t kIpOptTimestamp = 68;
 
-// Parses dotted-quad "a.b.c.d" into host-order uint32. Throws on bad input.
+// Parses dotted-quad "a.b.c.d" (each octet 1-3 ASCII digits, at most 255)
+// into host-order uint32. Throws std::invalid_argument on anything else,
+// surrounding whitespace and signs included.
 uint32_t parse_ipv4(const std::string& s);
 std::string format_ipv4(uint32_t addr);
 

@@ -22,10 +22,6 @@ void SolverPool::reset_contexts() {
   for (auto& s : solvers_) s->reset_context();
 }
 
-void SolverPool::set_incremental(bool on) {
-  for (auto& s : solvers_) s->set_incremental(on);
-}
-
 void SolverPool::set_avoidance(bool on) {
   for (auto& s : solvers_) s->set_avoidance(on);
 }

@@ -30,8 +30,6 @@ class SolverPool {
   // verification call: reuse within a call, bounded memory across a batch).
   void reset_contexts();
 
-  void set_incremental(bool on);
-
   // The query-avoidance switch, mirrored onto every worker (see
   // Solver::set_avoidance).
   void set_avoidance(bool on);

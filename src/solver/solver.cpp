@@ -230,27 +230,6 @@ void Solver::cache_store(uint64_t uid, CheckResult r, bool has_model) {
   }
 }
 
-bool Solver::check_cheap(const bv::ExprRef& e, CheckResult* out) {
-  // Layer 1: the factories already folded; a constant decides immediately.
-  if (e->is_true()) {
-    ++stats_.decided_by_folding;
-    out->result = Result::Sat;
-    return true;  // empty model: all variables unconstrained, pick zeros
-  }
-  if (e->is_false()) {
-    ++stats_.decided_by_folding;
-    out->result = Result::Unsat;
-    return true;
-  }
-  // Layer 2: interval reasoning.
-  if (auto decided = bv::decide_by_interval(e)) {
-    ++stats_.decided_by_interval;
-    out->result = *decided ? Result::Sat : Result::Unsat;
-    return true;  // Sat-by-interval means *every* assignment satisfies it
-  }
-  return false;
-}
-
 // --- query-avoidance helpers ------------------------------------------------
 
 void Solver::cache_verdict(uint64_t uid, Result res) {
@@ -359,53 +338,6 @@ bool Solver::discharge_by_core(const bv::ExprRef& e) {
   return false;
 }
 
-const std::vector<uint64_t>& Solver::conjunct_var_ids(const bv::ExprRef& e) {
-  const auto it = conjunct_vars_.find(e->uid());
-  if (it != conjunct_vars_.end()) return it->second;
-  if (conjunct_vars_.size() >= (size_t{1} << 17)) conjunct_vars_.clear();
-  std::vector<uint64_t> ids;
-  for (const bv::ExprRef& v : bv::free_variables(e)) ids.push_back(v->var_id());
-  return conjunct_vars_.emplace(e->uid(), std::move(ids)).first->second;
-}
-
-std::vector<bv::ExprRef> Solver::split_components(const bv::ExprRef& e) {
-  std::vector<bv::ExprRef> conj;
-  split_spine(e, &conj);
-  if (conj.size() < 2) return {};
-  // Union-find over conjunct indices, merged through shared variable ids.
-  std::vector<size_t> parent(conj.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  const auto find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  std::unordered_map<uint64_t, size_t> var_owner;
-  for (size_t i = 0; i < conj.size(); ++i) {
-    for (const uint64_t id : conjunct_var_ids(conj[i])) {
-      const auto [it, fresh] = var_owner.emplace(id, i);
-      if (!fresh) parent[find(i)] = find(it->second);
-    }
-  }
-  // Group by root, components ordered by first conjunct, conjuncts kept in
-  // original order — fully deterministic in `e` alone.
-  std::unordered_map<size_t, size_t> slot;
-  std::vector<std::vector<bv::ExprRef>> groups;
-  for (size_t i = 0; i < conj.size(); ++i) {
-    const size_t r = find(i);
-    const auto [it, fresh] = slot.emplace(r, groups.size());
-    if (fresh) groups.emplace_back();
-    groups[it->second].push_back(conj[i]);
-  }
-  if (groups.size() < 2) return {};
-  std::vector<bv::ExprRef> out;
-  out.reserve(groups.size());
-  for (const auto& g : groups) out.push_back(bv::mk_land_all(g));
-  return out;
-}
-
 Result Solver::context_check(const bv::ExprRef& e) {
   SolverContext& ctx = context();
   const Result pre = ctx.check_assuming(e, /*need_model=*/false).result;
@@ -437,18 +369,23 @@ RungNames rung_names(Rung r) {
     case Rung::CoreGrouping:
       return {"core-grouping", "solver.rung.core_grouping"};
     case Rung::CexCache: return {"cex-cache", "solver.rung.cex_cache"};
-    case Rung::Slicing: return {"slicing", "solver.rung.slicing"};
     case Rung::Incremental: return {"incremental", "solver.rung.incremental"};
     case Rung::Cdcl: return {"cdcl", "solver.rung.cdcl"};
   }
   return {"?", "solver.rung.unnamed"};
 }
 
-// Domain tag for persistent feasibility-memo keys. Distinct from every
-// verifier-level tag (cache/fingerprint users) so a solver-layer entry can
-// never alias a stitched-suspect or refine entry even though they share the
-// store's decision kind.
+// Domain tag for persistent feasibility-memo keys, distinct from the
+// verifier's refine tag (cache/fingerprint users).
 constexpr uint64_t kFpSolverFeasible = 0x50feab1e50b7c15ull;
+
+// The memo key of `e`: its content, never its uid.
+cache::Fingerprint memo_key(const bv::ExprRef& e) {
+  cache::Fingerprint fp;
+  fp.mix(kFpSolverFeasible);
+  fp.mix_expr(e);
+  return fp;
+}
 
 std::string uid_fingerprint(const bv::ExprRef& e) {
   char buf[24];
@@ -481,7 +418,7 @@ CheckResult Solver::check(const bv::ExprRef& e) {
 
 CheckResult Solver::check_inner(const bv::ExprRef& e) {
   CheckResult out;
-  out.result = decide(e, /*allow_slice=*/true);
+  out.result = decide(e);
   // Unsat needs no witness, and a cheap Sat holds under every assignment,
   // so the empty model is one.
   if (out.result == Result::Unsat || last_rung_ == Rung::Cheap) return out;
@@ -491,10 +428,11 @@ CheckResult Solver::check_inner(const bv::ExprRef& e) {
       hit != nullptr && hit->has_model) {
     return hit->r;
   }
-  // Sat from a verdict-only rung: derive the witness one-shot from `e`, so
-  // its bytes cannot depend on which rung decided. If that derivation
-  // blows its conflict budget the answer is Unknown, while the cached
-  // verdict stays Sat so feasibility answers never regress.
+  // Sat from a verdict-only rung (the memo included): derive the witness
+  // one-shot from `e`, so its bytes cannot depend on which rung decided.
+  // If that derivation blows its conflict budget the answer is Unknown,
+  // while the cached verdict stays Sat so feasibility answers never
+  // regress.
   CheckResult r = solve_one_shot(e);
   if (r.result != Result::Unknown) cache_store(e->uid(), r, true);
   return r;
@@ -502,51 +440,71 @@ CheckResult Solver::check_inner(const bv::ExprRef& e) {
 
 Result Solver::check_feasible(const bv::ExprRef& e) {
   ++stats_.queries;
-  if (!obs::enabled()) {
-    return decide(e, /*allow_slice=*/true, /*use_memo=*/true);
-  }
+  if (!obs::enabled()) return decide(e);
   obs::ScopedSpan sp(obs::Cat::Solve, "check_feasible");
-  const Result r = decide(e, /*allow_slice=*/true, /*use_memo=*/true);
+  const Result r = decide(e);
   trace_query(sp, last_rung_, r, e);
   return r;
 }
 
-Result Solver::decide(const bv::ExprRef& e, bool allow_slice, bool use_memo) {
-  CheckResult out;
-  if (check_cheap(e, &out)) {
+Result Solver::decide(const bv::ExprRef& e) {
+  // The expression factories already folded constants. A true constraint
+  // holds under every assignment: the empty model is a witness.
+  if (e->is_true() || e->is_false()) {
+    ++stats_.decided_by_folding;
     last_rung_ = Rung::Cheap;
-    return out.result;
+    return e->is_true() ? Result::Sat : Result::Unsat;
+  }
+  // A recorded core refutes every query stitched over the same infeasible
+  // conjuncts, ahead of the rungs that walk `e`. The verdict is memoized
+  // like a paid one: a later run, whose context sees memo hits where this
+  // run solved, may never record the core.
+  if (discharge_by_core(e)) {
+    last_rung_ = Rung::CoreGrouping;
+    if (memo_ != nullptr) {
+      const cache::Fingerprint fp = memo_key(e);
+      bool sat = false;
+      if (!memo_->lookup_decision(fp.hi(), fp.lo(), &sat)) {
+        memo_store(fp.hi(), fp.lo(), Result::Unsat);
+      }
+    }
+    return Result::Unsat;
+  }
+  // Sat by interval means every assignment satisfies `e`.
+  if (const auto decided = bv::decide_by_interval(e)) {
+    ++stats_.decided_by_interval;
+    last_rung_ = Rung::Cheap;
+    return *decided ? Result::Sat : Result::Unsat;
   }
   if (const CacheEntry* hit = cache_find(e->uid())) {
     ++stats_.cache_hits;
     last_rung_ = Rung::Cache;
     return hit->r.result;
   }
-  if (!use_memo || memo_ == nullptr) return decide_uncached(e, allow_slice);
+  if (memo_ == nullptr) return decide_uncached(e);
   // The memo sits behind the free rungs: those hits must not pay
   // fingerprint hashing.
-  cache::Fingerprint fp;
-  fp.mix(kFpSolverFeasible);
-  fp.mix_expr(e);
+  const cache::Fingerprint fp = memo_key(e);
   bool sat = false;
   if (memo_->lookup_decision(fp.hi(), fp.lo(), &sat)) {
     ++stats_.memo_hits;
     last_rung_ = Rung::Memo;
     // Seed the uid cache so same-run repeats stay in-process. Sat entries
-    // carry no model: a later check() on this expression still derives its
-    // witness one-shot.
+    // carry no model: check() still derives its witness one-shot.
     cache_verdict(e->uid(), sat ? Result::Sat : Result::Unsat);
     return sat ? Result::Sat : Result::Unsat;
   }
-  const Result r = decide_uncached(e, allow_slice);
-  if (r != Result::Unknown) {
-    ++stats_.memo_stores;
-    memo_->store_decision(fp.hi(), fp.lo(), r == Result::Sat);
-  }
+  const Result r = decide_uncached(e);
+  if (r != Result::Unknown) memo_store(fp.hi(), fp.lo(), r);
   return r;
 }
 
-Result Solver::decide_uncached(const bv::ExprRef& e, bool allow_slice) {
+void Solver::memo_store(uint64_t key_hi, uint64_t key_lo, Result r) {
+  ++stats_.memo_stores;
+  memo_->store_decision(key_hi, key_lo, r == Result::Sat);
+}
+
+Result Solver::decide_uncached(const bv::ExprRef& e) {
   if (avoidance_) {
     // Tiny-domain constraints are decided exactly by trying every
     // assignment — complete in both directions, zero SAT work.
@@ -556,42 +514,11 @@ Result Solver::decide_uncached(const bv::ExprRef& e, bool allow_slice) {
       cache_verdict(e->uid(), ex);
       return ex;
     }
-    // A recorded unsat core subsumed by this conjunct set.
-    if (discharge_by_core(e)) {
-      last_rung_ = Rung::CoreGrouping;
-      cache_verdict(e->uid(), Result::Unsat);
-      return Result::Unsat;
-    }
     // Replay recent models — a hit proves Sat with zero solving.
     if (try_cex_cache(e)) {
       last_rung_ = Rung::CexCache;
       cache_verdict(e->uid(), Result::Sat);
       return Result::Sat;
-    }
-    // Variable-disjoint components are independently satisfiable iff their
-    // conjunction is; each component runs the ladder on its own (and its
-    // verdict is cached, so shared prefixes across a query family decide
-    // once). An Unknown component falls through to deciding `e` whole, so
-    // slicing never makes a decidable query undecidable.
-    const auto components =
-        allow_slice ? split_components(e) : std::vector<bv::ExprRef>{};
-    if (!components.empty()) {
-      Result agg = Result::Sat;
-      for (const bv::ExprRef& c : components) {
-        ++stats_.slice_components;
-        const Result r = decide(c, /*allow_slice=*/false);
-        if (r == Result::Unsat) {
-          agg = Result::Unsat;
-          break;
-        }
-        if (r == Result::Unknown) agg = Result::Unknown;
-      }
-      if (agg != Result::Unknown) {
-        ++stats_.slice_decided;
-        last_rung_ = Rung::Slicing;
-        cache_verdict(e->uid(), agg);
-        return agg;
-      }
     }
   }
   // An Unknown from a polluted context falls through to the one-shot solve,

@@ -1,23 +1,26 @@
 // Top-level decision procedure for bv constraints.
 //
-// Every query runs down one verdict ladder, cheapest rung first, and the
-// first rung that decides answers (most stitched path constraints collapse
-// syntactically, as the paper observes, so the early rungs carry most of
-// the load):
-//   1. cheap: the expression factories already folded constants, so a
-//      constraint that simplified to true/false is decided for free, and an
-//      unsigned-interval pass decides most remaining comparisons;
-//   2. the per-uid result cache, then (check_feasible only) the persistent
-//      cross-run feasibility memo;
-//   3. query avoidance (one switch, set_avoidance): small-domain
-//      exhaustion, unsat-core subsumption, counterexample replay and
-//      independence slicing;
-//   4. the live incremental context (SolverContext below);
-//   5. a one-shot bit-blast + CDCL solve, which also produces a model.
+// Every query, check() and check_feasible() alike, runs down one verdict
+// ladder, cheapest rung first, and the first rung that decides answers
+// (most stitched path constraints collapse syntactically, as the paper
+// observes, so the early rungs carry most of the load):
+//   1. constant folding: the expression factories already folded, so a
+//      constraint that simplified to true/false is decided for free;
+//   2. unsat-core subsumption (query avoidance): a query whose top-level
+//      conjuncts include a recorded unsat core is Unsat, so one core
+//      refutes a whole family of stitched suspects;
+//   3. an unsigned-interval pass, which decides most remaining
+//      comparisons;
+//   4. the per-uid result cache, then the persistent cross-run
+//      feasibility memo (set_feasibility_memo);
+//   5. the rest of query avoidance: small-domain exhaustion and
+//      counterexample replay;
+//   6. the live incremental context (SolverContext below);
+//   7. a one-shot bit-blast + CDCL solve, which also produces a model.
 // check() is the same ladder plus a one-shot model derivation on Sat, so
 // witness bytes depend only on the expression, never on which rung decided.
 //
-// Rung 4 is incremental: a Solver keeps a live SolverContext — one
+// Rung 6 is incremental: a Solver keeps a live SolverContext — one
 // persistent SatSolver + BitBlaster whose expr→literal cache survives
 // across queries — and decides each query under assumptions instead of
 // re-Tseitin-blasting the whole constraint from scratch. Step-2 stitched
@@ -63,8 +66,6 @@ struct CheckStats {
   // decided_by_sat + incremental_queries counts exactly those — the number
   // tab10 A/Bs.
   uint64_t exhaustion_decided = 0;  // decided by small-domain exhaustion
-  uint64_t slice_components = 0;    // component subqueries issued by slicing
-  uint64_t slice_decided = 0;       // queries decided component-wise
   uint64_t cex_cache_tries = 0;     // cached models replayed against queries
   uint64_t cex_cache_hits = 0;      // Sat decided by a replayed model
   uint64_t core_discharges = 0;     // Unsat decided by stored-core subsumption
@@ -72,8 +73,8 @@ struct CheckStats {
   // Clause GC (always on): bounds a live context's learnt clauses.
   uint64_t learnt_gc_runs = 0;      // cross-query clause-DB GC invocations
   uint64_t learnt_gc_removed = 0;   // learnt clauses dropped by that GC
-  // Persistent-memo rung (set_feasibility_memo, check_feasible only):
-  // verdicts served from a cross-run store.
+  // Persistent-memo rung (set_feasibility_memo): verdicts served from and
+  // stored to a cross-run store.
   uint64_t memo_hits = 0;
   uint64_t memo_stores = 0;
 };
@@ -84,16 +85,17 @@ struct CheckResult {
   bv::Assignment model;
 };
 
-// Seam for a persistent (cross-run) feasibility memo. check_feasible() keys
-// each query by a 128-bit content fingerprint of the expression alone —
-// expression satisfiability is context-free, so a verdict recorded by any
-// run is valid in every run — and consults the memo before paying the
-// avoidance ladder. Only decided verdicts (Sat/Unsat) are ever stored;
-// models are never memoized (check() always re-derives witnesses one-shot,
-// so counterexample bytes cannot depend on memo state). Implementations
-// must be thread-safe. verify::PathDecisionCache extends this interface,
-// which is how `--cache-dir` reaches the summarization-time fork checks
-// that dominate a cold run's solver work.
+// Seam for a persistent (cross-run) feasibility memo. The ladder keys each
+// query that passes its free rungs by a 128-bit content fingerprint of the
+// expression alone — expression satisfiability is context-free, so a
+// verdict recorded by any run is valid in every run — and consults the memo
+// before paying the rest of the ladder. Only decided verdicts (Sat/Unsat)
+// are ever stored; models are never memoized (check() always re-derives
+// witnesses one-shot, so counterexample bytes cannot depend on memo state).
+// Implementations must be thread-safe. verify::PathDecisionCache extends
+// this interface, which is how `--cache-dir` reaches the summarization-time
+// fork checks that dominate a cold run's solver work and the stitched
+// suspects Step 2 decides.
 class FeasibilityMemo {
  public:
   virtual ~FeasibilityMemo() = default;
@@ -173,7 +175,6 @@ enum class Rung : uint8_t {
   Exhaustion,
   CoreGrouping,
   CexCache,
-  Slicing,
   Incremental,
   Cdcl,
 };
@@ -196,8 +197,7 @@ class Solver {
 
   // Decides satisfiability without deriving a model — the fast path for
   // feasibility pruning (symbolic-execution fork checks, speculative
-  // instruction-bound decisions). The only entry point that consults the
-  // persistent feasibility memo.
+  // instruction-bound decisions).
   Result check_feasible(const bv::ExprRef& e);
 
   // Convenience: true iff `e` is satisfiable. Treats Unknown as satisfiable
@@ -216,12 +216,11 @@ class Solver {
   void set_incremental(bool on) { incremental_ = on; }
   bool incremental() const { return incremental_; }
 
-  // Query avoidance (default on): small-domain exhaustion, unsat-core
-  // subsumption (with core harvesting), counterexample replay (with model
-  // harvesting) and independence slicing, as one switch. Off, a query the
-  // cheap rungs and the caches cannot decide goes straight to the
-  // incremental context or the one-shot solve — the baseline tab10 A/Bs
-  // against. Verdicts are identical either way (within conflict budgets)
+  // Query avoidance (default on): unsat-core subsumption (with core
+  // harvesting), small-domain exhaustion and counterexample replay (with
+  // model harvesting), as one switch. Off, a query the cheap rungs and the
+  // caches cannot decide goes straight to the incremental context or the
+  // one-shot solve — the baseline tab10 A/Bs against. Verdicts are identical either way (within conflict budgets)
   // and counterexample bytes always come from a one-shot solve of the
   // original expression.
   void set_avoidance(bool on) { avoidance_ = on; }
@@ -231,13 +230,8 @@ class Solver {
   // tests shrink it to make the GC fire.
   void set_learnt_budget(size_t n) { learnt_budget_ = n; }
 
-  // Unsat-core grouping surface for drivers (verify/decomposed.cpp): true
-  // iff `e`'s top-level conjunct set is a superset of a recorded core, i.e.
-  // `e` is unsatisfiable without any solver query (counted as a core
-  // discharge). Always false with avoidance off. Cores are harvested
-  // automatically from incremental Unsat answers; last_unsat_core()
-  // exposes the most recent one.
-  bool discharge_by_core(const bv::ExprRef& e);
+  // The most recent unsat core harvested from an incremental Unsat answer
+  // (the core-subsumption rung matches later queries against it).
   const std::vector<bv::ExprRef>& last_unsat_core() const { return last_core_; }
 
   // The live internal context (created lazily on first use).
@@ -269,19 +263,18 @@ class Solver {
 
   // check()'s body; the public wrapper adds the tracing span.
   CheckResult check_inner(const bv::ExprRef& e);
-  // The verdict ladder: cheap -> uid cache -> memo (use_memo only) -> the
-  // paying rungs of decide_uncached(). Components recurse with allow_slice
-  // off (a variable-connected component cannot split further). Sets
+  // The verdict ladder: folding -> core subsumption -> intervals -> uid
+  // cache -> memo -> the paying rungs of decide_uncached(). Sets
   // last_rung_.
-  Result decide(const bv::ExprRef& e, bool allow_slice, bool use_memo = false);
-  // The rungs that cost work: exhaustion -> core subsumption -> cex replay
-  // -> slicing -> incremental context -> one-shot. Caches every decided
-  // verdict under e's uid; the one-shot rung caches its model too.
-  Result decide_uncached(const bv::ExprRef& e, bool allow_slice);
+  Result decide(const bv::ExprRef& e);
+  // The rungs that cost work: exhaustion -> cex replay -> incremental
+  // context -> one-shot. Caches every decided verdict under e's uid; the
+  // one-shot rung caches its model too.
+  Result decide_uncached(const bv::ExprRef& e);
   // One-shot bit-blast + CDCL, deterministic in `e` alone.
   CheckResult solve_one_shot(const bv::ExprRef& e);
-  // Folding and intervals. Returns true when decided.
-  bool check_cheap(const bv::ExprRef& e, CheckResult* out);
+  // Records a decided verdict under a memo key (memo_key in solver.cpp).
+  void memo_store(uint64_t key_hi, uint64_t key_lo, Result r);
   const CacheEntry* cache_find(uint64_t uid);
   void cache_store(uint64_t uid, CheckResult r, bool has_model);
   // Caches a verdict decided without model derivation.
@@ -294,10 +287,10 @@ class Solver {
   // Feeds a solver-derived model into the counterexample cache.
   void remember_model(const bv::Assignment& m);
   void record_core(const std::vector<bv::ExprRef>& core);
-  // Variable-connected components of e's And-spine; empty when e does not
-  // split (fewer than two components).
-  std::vector<bv::ExprRef> split_components(const bv::ExprRef& e);
-  const std::vector<uint64_t>& conjunct_var_ids(const bv::ExprRef& e);
+  // True iff `e`'s top-level conjunct set is a superset of a recorded core,
+  // i.e. `e` is unsatisfiable without any solver query (counted as a core
+  // discharge). Always false with avoidance off.
+  bool discharge_by_core(const bv::ExprRef& e);
   // check_assuming on the live context + unsat-core harvesting.
   Result context_check(const bv::ExprRef& e);
 
@@ -325,8 +318,6 @@ class Solver {
   static constexpr size_t kMaxCores = 64;
   static constexpr size_t kMaxCoreSize = 8;
   std::vector<bv::ExprRef> last_core_;
-  // Per-conjunct free-variable-id memo for independence slicing.
-  std::unordered_map<uint64_t, std::vector<uint64_t>> conjunct_vars_;
   // Result cache keyed by node identity; models are cached too because the
   // Step-2 composition frequently re-queries identical stitched constraints.
   // Capped (FIFO) so a long `vsd check` batch cannot grow it unboundedly.

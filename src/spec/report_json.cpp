@@ -54,7 +54,7 @@ std::string outcome_json(const AssertionOutcome& o) {
     const verify::Counterexample& ce = o.counterexamples[i];
     if (i != 0) out += ",";
     out += "{\"packet\":" + json_quote(ce.packet.hex(ce.packet.size()));
-    out += ",\"trap\":" + json_quote(ir::trap_name(ce.trap));
+    if (ce.trap) out += ",\"trap\":" + json_quote(ir::trap_name(*ce.trap));
     out += ",\"requires_sequence\":" +
            std::string(ce.requires_sequence ? "true" : "false");
     if (!ce.element_path.empty()) {

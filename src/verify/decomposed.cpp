@@ -43,6 +43,10 @@ namespace {
 
 // Conflict budget per SAT query.
 constexpr uint64_t kMaxSolverConflicts = 1u << 22;
+// Interpreted-instruction cap on each exact (unrolled) summarization the
+// unroll refinement requests (DecomposedConfig::refine_max_solver_checks
+// caps its solver fork checks).
+constexpr uint64_t kRefineMaxInstructions = 5'000'000;
 
 struct Timer {
   std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
@@ -225,9 +229,7 @@ class DecomposedVerifier::Impl {
                         : symbex::ForkCheck::FoldOnly;
     eo.solver = &sv;
     if (refine) {
-      if (cfg.refine_max_instructions != 0) {
-        eo.max_instructions = cfg.refine_max_instructions;
-      }
+      eo.max_instructions = kRefineMaxInstructions;
       eo.max_solver_checks = cfg.refine_max_solver_checks;
     }
     symbex::Executor exec(eo);
@@ -659,19 +661,18 @@ class DecomposedVerifier::Impl {
   // Persistent cross-run decision cache (cfg.decision_cache)
   // -------------------------------------------------------------------
   //
-  // Every key binds only what the answer actually depends on: the call
-  // knobs (packet length, loop handling), the constraint/trace material
-  // itself, and the CONTENT of the elements that material touches — never
-  // the whole pipeline. That locality is the service's payoff: resubmit a
-  // spec with one element edited and only decisions whose path crosses the
-  // edit re-derive; every other path warm-hits. Domain tags keep the two
-  // entry families (suspect decisions, refinements) disjoint even for
-  // coincidentally identical material; context-free feasibility verdicts
-  // are the solver's own memo (Solver::set_feasibility_memo). The
-  // avoidance flags, job count, and incremental mode are deliberately NOT
-  // keyed: they are verdict-invariant by design, so any of those runs may
-  // share entries.
-  static constexpr uint64_t kFpSuspect = 0x5059ec7f1a7c15ull;
+  // The engine keys one entry family of its own: whole per-path unroll
+  // refinements. Every stitched-suspect and fork-check verdict is the
+  // solver's content-keyed feasibility memo (Solver::set_feasibility_memo),
+  // which is valid in any run because expression satisfiability is
+  // context-free. A refine key binds only what the outcome depends on: the
+  // call knobs (packet length, loop handling), the root constraint, and the
+  // CONTENT of the trace's elements — never the whole pipeline. That
+  // locality is the service's payoff: resubmit a spec with one element
+  // edited and only refinements whose trace crosses the edit re-derive.
+  // The avoidance flag, job count, and incremental mode are deliberately
+  // NOT keyed: they are verdict-invariant by design, so any of those runs
+  // may share entries.
   static constexpr uint64_t kFpRefine = 0x5ef19e0f2b7c15ull;
 
   uint64_t call_hi_ = 0, call_lo_ = 0;
@@ -705,31 +706,6 @@ class DecomposedVerifier::Impl {
       }
       elem_fp_[e] = ef.hi() ^ (ef.lo() * 0x9e3779b97f4a7c15ull);
     }
-  }
-
-  cache::Fingerprint suspect_fingerprint(const ComposeState& st) const {
-    cache::Fingerprint fp;
-    fp.mix(kFpSuspect);
-    fp.mix(call_hi_);
-    fp.mix(call_lo_);
-    // The decision sees exactly the traversed elements (their summaries
-    // shaped the constraint), so bind their content — an edit anywhere
-    // else in the pipeline leaves this key (and its answer) valid.
-    fp.mix(st.elem_trace.size());
-    for (const size_t e : st.elem_trace) fp.mix(elem_fp_[e]);
-    fp.mix_expr(st.constraint);
-    // The KV history refinement enumerates the owning element's write
-    // sites (tables are element-private), so each read binds that
-    // element's content plus the stitched key/value expressions.
-    fp.mix(st.kv_reads.size());
-    for (const PathKvRead& pr : st.kv_reads) {
-      fp.mix(elem_fp_[pr.elem]);
-      fp.mix(pr.len);
-      fp.mix(static_cast<uint64_t>(pr.rec.table));
-      fp.mix_expr(pr.rec.key);
-      fp.mix_expr(pr.rec.value);
-    }
-    return fp;
   }
 
   cache::Fingerprint refine_fingerprint(const TerminalSpec& tspec,
@@ -775,13 +751,11 @@ class DecomposedVerifier::Impl {
       out.learnt_retained += cs.learnt_retained;
       out.sat_solves += cs.decided_by_sat + cs.incremental_queries;
       out.exhaustion_decided += cs.exhaustion_decided;
-      out.slice_decided += cs.slice_decided;
       out.cex_cache_hits += cs.cex_cache_hits;
       out.core_discharges += cs.core_discharges;
       out.learnt_gc_runs += cs.learnt_gc_runs;
       out.learnt_gc_removed += cs.learnt_gc_removed;
-      // Solver-layer persistent-memo hits are decision-cache hits for
-      // reporting: one counter tells the whole query-avoidance story.
+      // The solver's persistent memo is the only decision family.
       out.decision_cache_hits += cs.memo_hits;
     }
     return out;
@@ -832,6 +806,8 @@ class DecomposedVerifier::Impl {
   // Decides a suspect's stitched constraint, applying the KV history
   // refinement when private-state reads are involved. On Sat, fills the
   // model and state note. `sv`/`vstats` are the calling worker's instances.
+  // Only the solver decides or remembers a suspect: its ladder holds the
+  // core subsumption and the persistent memo.
   solver::Result decide_suspect(const pipeline::Pipeline& pl,
                                 const ComposeState& st,
                                 bv::Assignment* model_out,
@@ -847,64 +823,30 @@ class DecomposedVerifier::Impl {
       sp.arg("path", std::move(path));
       obs::count("verify.suspects_decided");
     }
-    // Persistent-cache front-run: a prior run (or serve request) proved
-    // this exact stitched material infeasible — skip all solving. Only
-    // Unsat is consumed here: a Sat suspect must re-solve for a fresh
-    // model, which keeps warm counterexample bytes identical to cold ones.
-    bool have_fp = false;
-    cache::Fingerprint fp;
-    if (cfg.decision_cache != nullptr) {
-      fp = suspect_fingerprint(st);
-      have_fp = true;
-      bool cached_sat = false;
-      if (cfg.decision_cache->lookup_decision(fp.hi(), fp.lo(),
-                                              &cached_sat) &&
-          !cached_sat) {
-        ++vstats.decision_cache_hits;
-        return solver::Result::Unsat;
-      }
-    }
-    // Core-grouping front-run: a previously harvested unsat core whose
-    // conjuncts all appear in this stitched constraint discharges the whole
-    // suspect with zero solving — one core typically kills the entire
-    // family of suspects stitched over the same infeasible prefix.
-    if (sv.discharge_by_core(st.constraint)) {
-      ++vstats.suspects_core_discharged;
-      if (have_fp) cfg.decision_cache->store_decision(fp.hi(), fp.lo(), false);
-      return solver::Result::Unsat;
-    }
     ++vstats.solver_queries;
     solver::CheckResult r = sv.check(st.constraint);
-    if (r.result != solver::Result::Sat || st.kv_reads.empty()) {
-      if (r.result == solver::Result::Sat && model_out != nullptr) {
-        *model_out = std::move(r.model);
+    if (r.result == solver::Result::Sat && !st.kv_reads.empty()) {
+      // The violation may hinge on values read from private state; ask
+      // whether the required values are reachable through any write
+      // history.
+      ExprRef refined = st.constraint;
+      for (const PathKvRead& pr : st.kv_reads) {
+        refined =
+            bv::mk_land(refined, kv_history_constraint(pl, pr, sv, vstats));
       }
-      if (have_fp && r.result == solver::Result::Unsat) {
-        cfg.decision_cache->store_decision(fp.hi(), fp.lo(), false);
-      }
-      return r.result;
-    }
-    // The violation may hinge on values read from private state; ask
-    // whether the required values are reachable through any write history.
-    ExprRef refined = st.constraint;
-    for (const PathKvRead& pr : st.kv_reads) {
-      refined = bv::mk_land(refined, kv_history_constraint(pl, pr, sv, vstats));
-    }
-    ++vstats.solver_queries;
-    solver::CheckResult r2 = sv.check(refined);
-    if (r2.result == solver::Result::Sat) {
-      if (model_out != nullptr) *model_out = std::move(r2.model);
-      if (state_note != nullptr) {
+      ++vstats.solver_queries;
+      r = sv.check(refined);
+      if (r.result == solver::Result::Sat && state_note != nullptr) {
         *state_note =
             "requires private state reachable via a prior packet sequence "
             "(KV bad-value analysis: a feasible write history produces the "
             "required value)";
       }
     }
-    if (have_fp && r2.result == solver::Result::Unsat) {
-      cfg.decision_cache->store_decision(fp.hi(), fp.lo(), false);
+    if (r.result == solver::Result::Sat && model_out != nullptr) {
+      *model_out = std::move(r.model);
     }
-    return r2.result;
+    return r.result;
   }
 
   // ---------------------------------------------------------------------
@@ -985,11 +927,8 @@ class DecomposedVerifier::Impl {
         return;
       }
       out.res = solver::Result::Sat;
-      out.ce = make_counterexample(
-          pl, entry, t.st, model,
-          t.seg->action == SegAction::Trap ? t.seg->trap
-                                           : ir::TrapKind::Unreachable,
-          std::move(note));
+      out.ce = make_counterexample(pl, entry, t.st, *t.seg, model,
+                                   std::move(note));
       // Annotate without flipping requires_sequence: a refined model
       // satisfies exact constraints and replays as a single packet
       // (unless the KV analysis above also flagged it).
@@ -1362,18 +1301,19 @@ class DecomposedVerifier::Impl {
     return can_reach;
   }
 
+  // `seg` is the violating terminal segment; only a Trap sets the trap kind.
   Counterexample make_counterexample(const pipeline::Pipeline& pl,
                                      const SymPacket& entry,
                                      const ComposeState& st,
+                                     const Segment& seg,
                                      const bv::Assignment& model,
-                                     ir::TrapKind trap,
                                      std::string note) {
     Counterexample ce;
     ce.packet = entry.to_concrete(model);
     for (const size_t e : st.elem_trace) {
       ce.element_path.push_back(pl.element(e).name());
     }
-    ce.trap = trap;
+    if (seg.action == SegAction::Trap) ce.trap = seg.trap;
     // A note at this point always comes from the KV bad-value analysis:
     // the model relies on private state a prior packet sequence must build.
     ce.requires_sequence = !note.empty();
@@ -1428,8 +1368,8 @@ class DecomposedVerifier::Impl {
   // counterexample list come out identically at any job count. An Unsat
   // suspect only counts as eliminated on its worker; Sat and Unknown
   // outcomes are buffered for the reduce. `is_suspect` selects the
-  // property's suspect terminals and reports the trap kind for the
-  // counterexample. It may set *sat_is_unknown for suspects whose Sat
+  // property's suspect terminals. It may set *sat_is_unknown for suspects
+  // whose Sat
   // outcome cannot certify a violation (over-approximated constraints):
   // those re-decide on the per-path unroll refinement against `tspec` and
   // the root constraint, or degrade to Unknown.
@@ -1438,8 +1378,7 @@ class DecomposedVerifier::Impl {
       std::function<bool(size_t elem, size_t depth)> visit,
       Precision precision,
       const std::function<bool(const SegmentRecord&, size_t worker,
-                               ir::TrapKind* trap, bool* sat_is_unknown)>&
-          is_suspect,
+                               bool* sat_is_unknown)>& is_suspect,
       const TerminalSpec& tspec, std::vector<Counterexample>* counterexamples) {
     struct Outcome {
       std::vector<uint32_t> order;
@@ -1451,9 +1390,8 @@ class DecomposedVerifier::Impl {
     const ExprRef root_constraint = root.constraint;
     std::vector<std::vector<Outcome>> per_worker(jobs);
     const auto decide = [&](size_t w, SegmentRecord& t) {
-      ir::TrapKind trap = ir::TrapKind::Unreachable;
       bool sat_unknown = false;
-      if (t.continues || !is_suspect(t, w, &trap, &sat_unknown)) return;
+      if (t.continues || !is_suspect(t, w, &sat_unknown)) return;
       bv::Assignment model;
       std::string note;
       const solver::Result r =
@@ -1467,7 +1405,7 @@ class DecomposedVerifier::Impl {
       o.res = r;
       o.sat_is_unknown = sat_unknown;
       if (r == solver::Result::Sat && !sat_unknown) {
-        o.ce = make_counterexample(pl, entry, t.st, model, trap,
+        o.ce = make_counterexample(pl, entry, t.st, *t.seg, model,
                                    std::move(note));
       } else if (r == solver::Result::Sat) {
         o.trace = t.st.elem_trace;
@@ -1555,10 +1493,8 @@ class DecomposedVerifier::Impl {
         pl, root_state(entry), entry,
         [&filter](size_t e, size_t) { return filter[e]; },
         Precision::AcceptBounds,
-        [](const SegmentRecord& t, size_t /*w*/, ir::TrapKind* trap,
-           bool* sat_unknown) {
+        [](const SegmentRecord& t, size_t /*w*/, bool* sat_unknown) {
           if (t.seg->action != SegAction::Trap) return false;
-          *trap = t.seg->trap;
           *sat_unknown = t.st.count_is_bound;
           return true;
         },
@@ -1725,14 +1661,11 @@ class DecomposedVerifier::Impl {
     const Verdict verdict = decide_suspects(
         pl, std::move(root), entry, [](size_t, size_t) { return true; },
         Precision::ExactDropsTraps,
-        [this, &tspec](const SegmentRecord& t, size_t w, ir::TrapKind* trap,
-                       bool* sat_unknown) {
+        [this, &tspec](const SegmentRecord& t, size_t w, bool* sat_unknown) {
           if (!terminal_violates(tspec, t.seg->action, t.seg->port)) {
             return false;
           }
           ++wstats_[w].suspects_found;
-          *trap = t.seg->action == SegAction::Trap ? t.seg->trap
-                                                   : ir::TrapKind::Unreachable;
           *sat_unknown = t.st.count_is_bound;
           return true;
         },

@@ -59,13 +59,13 @@ struct DecomposedConfig {
   // (terminals reached along the trace, violating or not) before giving
   // up as Unknown.
   uint64_t max_refine_paths = 1u << 14;
-  // Caps on each exact (unrolled) summarization the refinement requests:
-  // interpreted instructions, and solver fork-checks (unrolling forks on
-  // the solver, so an option-walking loop can pass the instruction cap and
-  // still cost hours of queries). Past either cap the summary is truncated
-  // and the refinement gives up as Unknown instead of hanging. Counts, not
-  // seconds: no verdict depends on machine load or --jobs. 0 = no cap.
-  uint64_t refine_max_instructions = 5'000'000;
+  // Cap on the solver fork-checks of each exact (unrolled) summarization
+  // the refinement requests; a fixed cap bounds its interpreted
+  // instructions too (unrolling forks on the solver, so an option-walking
+  // loop can pass the instruction cap and still cost hours of queries).
+  // Past either cap the summary is truncated and the refinement gives up
+  // as Unknown instead of hanging. Counts, not seconds: no verdict depends
+  // on machine load or --jobs. 0 = no cap.
   uint64_t refine_max_solver_checks = 4096;
   // Worker threads for the work-queue engine: the Step-2 walk summarizes
   // each element on first visit and walks/decides stitched paths
@@ -88,21 +88,20 @@ struct DecomposedConfig {
   // reproducible. Within the budget (tier-1 workloads sit orders of
   // magnitude below it) results are fully deterministic.
   bool incremental = true;
-  // Query avoidance (Solver::set_avoidance): small-domain exhaustion,
-  // unsat-core grouping (including the stitched-suspect front-run),
-  // counterexample replay and independence slicing. Verdict-only rungs
+  // Query avoidance (Solver::set_avoidance): unsat-core subsumption,
+  // small-domain exhaustion and counterexample replay. Verdict-only rungs
   // (counterexample bytes are always derived from the original
   // constraint), so results are byte-identical on or off; the tab10 bench
   // A/Bs the two.
   bool avoidance = true;
   // Persistent cross-run decision cache (cache::VerdictCache over an
-  // on-disk store). When set, Step-2 suspect decisions that previously
-  // came back Unsat and whole per-path unroll refinements are answered
-  // from the cache instead of the solver, and every solver's memo rung
-  // stores its feasibility verdicts there (Solver::set_feasibility_memo)
-  // — verdicts and counterexample bytes stay byte-identical either way
-  // (Sat suspects always re-solve for a fresh model; refine outcomes
-  // persist their certified counterexample verbatim). Not owned.
+  // on-disk store). When set, every solver's memo rung keeps its
+  // feasibility verdicts there (Solver::set_feasibility_memo), fork checks
+  // and stitched suspects alike, and whole per-path unroll refinements are
+  // answered from it — verdicts and counterexample bytes stay
+  // byte-identical either way (a Sat suspect re-derives its model
+  // one-shot; refine outcomes persist their certified counterexample
+  // verbatim). Not owned.
   PathDecisionCache* decision_cache = nullptr;
   // Shared in-memory Step-1 summary caches (the serve daemon's warm
   // state). nullptr = the verifier uses its own private caches. Not owned;

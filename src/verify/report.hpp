@@ -27,7 +27,10 @@ const char* verdict_name(Verdict v);
 struct Counterexample {
   net::Packet packet;  // concrete input that triggers the violation
   std::vector<std::string> element_path;  // element names traversed
-  ir::TrapKind trap = ir::TrapKind::Unreachable;
+  // Set only when the violation is a trap (ir::TrapKind::Unreachable is
+  // itself a trap kind); drops, wrong-port exits, instruction-bound
+  // witnesses and bounded-state sequence packets carry none.
+  std::optional<ir::TrapKind> trap;
   // Extra context for reports (KV bad-value analysis, unroll refinement).
   std::string state_note;
   // True when the violation additionally depends on private state reachable
@@ -77,15 +80,14 @@ struct VerifyStats {
   // its layer.
   uint64_t sat_solves = 0;
   uint64_t exhaustion_decided = 0;      // decided by small-domain exhaustion
-  uint64_t slice_decided = 0;           // decided via independent components
   uint64_t cex_cache_hits = 0;          // Sat proven by replaying a model
   uint64_t core_discharges = 0;         // Unsat via recorded-core subsumption
-  uint64_t suspects_core_discharged = 0;  // stitched suspects killed by a core
   uint64_t learnt_gc_runs = 0;
   uint64_t learnt_gc_removed = 0;
-  // Persistent cross-run verdict cache (vsd serve / --cache-dir): stitched
-  // decisions and whole refinements answered from the cache without any
-  // solving. Zero unless DecomposedConfig::decision_cache is set.
+  // Persistent cross-run verdict cache (vsd serve / --cache-dir): solver
+  // feasibility-memo hits and whole refinements answered from the cache
+  // without any solving. Zero unless DecomposedConfig::decision_cache is
+  // set.
   uint64_t decision_cache_hits = 0;
   uint64_t refine_cache_hits = 0;
 };
@@ -117,10 +119,8 @@ inline constexpr std::pair<const char*, uint64_t VerifyStats::*>
     {"learnt_retained", &VerifyStats::learnt_retained},
     {"sat_solves", &VerifyStats::sat_solves},
     {"exhaustion_decided", &VerifyStats::exhaustion_decided},
-    {"slice_decided", &VerifyStats::slice_decided},
     {"cex_cache_hits", &VerifyStats::cex_cache_hits},
     {"core_discharges", &VerifyStats::core_discharges},
-    {"suspects_core_discharged", &VerifyStats::suspects_core_discharged},
     {"learnt_gc_runs", &VerifyStats::learnt_gc_runs},
     {"learnt_gc_removed", &VerifyStats::learnt_gc_removed},
     {"decision_cache_hits", &VerifyStats::decision_cache_hits},

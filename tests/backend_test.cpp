@@ -213,8 +213,7 @@ void expect_reports_identical(const std::string& tag,
     const verify::Counterexample& ca = a.counterexamples[i];
     const verify::Counterexample& cb = b.counterexamples[i];
     ASSERT_EQ(ca.element_path, cb.element_path) << tag << " ce " << i;
-    ASSERT_EQ(static_cast<int>(ca.trap), static_cast<int>(cb.trap))
-        << tag << " ce " << i;
+    ASSERT_EQ(ca.trap, cb.trap) << tag << " ce " << i;
     ASSERT_EQ(ca.requires_sequence, cb.requires_sequence)
         << tag << " ce " << i;
     ASSERT_EQ(packet_bytes(ca.packet), packet_bytes(cb.packet))

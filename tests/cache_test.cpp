@@ -28,9 +28,11 @@
 #include "cache/store.hpp"
 #include "cache/verdict_cache.hpp"
 #include "elements/registry.hpp"
+#include "net/headers.hpp"
 #include "spec/check.hpp"
 #include "spec/parser.hpp"
 #include "verify/decomposed.hpp"
+#include "verify/predicates.hpp"
 #include "verify/report.hpp"
 
 namespace vsd::cache {
@@ -176,8 +178,11 @@ TEST_F(CacheTest, AssertionEntriesOfEarlierEnginesMissUnderTheCurrentEngine) {
   // two instead of blasting a divider (a different CNF), and vsd-engine-10
   // restricts an incremental context's branching to the live query's cone
   // (a different search, and so possibly different bounded-state packet
-  // sequences, which are read from a context).
-  for (const char* engine : {"vsd-engine-8", "vsd-engine-9"}) {
+  // sequences, which are read from a context). vsd-engine-11 gives a
+  // counterexample's trap kind a presence byte: an earlier entry would
+  // restore "unreachable" for a counterexample that is not a trap.
+  for (const char* engine :
+       {"vsd-engine-8", "vsd-engine-9", "vsd-engine-10"}) {
     spec::AssertionOutcome o;
     o.text = "assert flow_occupancy(RateLimiter) <= 2;";
     o.verdict = verify::Verdict::Violated;
@@ -265,10 +270,13 @@ TEST_F(CacheTest, RefineEntriesRoundTripCounterexampleBytes) {
   ce.element_path = {"CheckIPHeader", "DecIPTTL"};
   ce.state_note = "ttl expired";
   ce.requires_sequence = true;
+  verify::Counterexample trap_ce = ce;
+  trap_ce.trap = ir::TrapKind::Unreachable;
   {
     VerdictCache cache(dir_.string());
     cache.store_refine(0x10, 0x20, true, ce);
     cache.store_refine(0x30, 0x40, false, verify::Counterexample{});
+    cache.store_refine(0x50, 0x60, true, trap_ce);
   }
   VerdictCache warm(dir_.string());
   bool sat = false;
@@ -282,6 +290,12 @@ TEST_F(CacheTest, RefineEntriesRoundTripCounterexampleBytes) {
   EXPECT_EQ(back.element_path, ce.element_path);
   EXPECT_EQ(back.state_note, "ttl expired");
   EXPECT_TRUE(back.requires_sequence);
+  // A counterexample that is not a trap comes back without a trap kind,
+  // and the explicit-trap kind survives as itself.
+  EXPECT_FALSE(back.trap.has_value());
+  ASSERT_TRUE(warm.lookup_refine(0x50, 0x60, &sat, &back));
+  EXPECT_EQ(back.trap, ir::TrapKind::Unreachable);
+  EXPECT_EQ(back.state_note, "ttl expired");
   ASSERT_TRUE(warm.lookup_refine(0x30, 0x40, &sat, &back));
   EXPECT_FALSE(sat);
 }
@@ -342,7 +356,7 @@ std::string observable(const spec::CheckReport& rep) {
         out += "," + std::to_string(m);
       }
       out += "|" + ce.state_note + "|" +
-             std::to_string(static_cast<int>(ce.trap));
+             (ce.trap ? std::to_string(static_cast<int>(*ce.trap)) : "-");
       for (const std::string& e : ce.element_path) out += "|" + e;
       out += "\n";
     }
@@ -390,7 +404,9 @@ TEST_F(CacheTest, BoundFeasibilityPersistsOnlyInTheSolverMemo) {
   // The instruction-bound speculation's feasibility verdicts are stored
   // once, by the solver's memo rung: a cold run writes exactly the memo's
   // entries, and a warm rerun's memo hits seed the uid cache, so only the
-  // witness model is solved again.
+  // witness model is solved again. Stitched suspects are decided by the
+  // solver alone too, so a suspect-heavy reach call also writes exactly
+  // the memo's entries.
   const auto run = [this](uint64_t* memo_stores) {
     const pipeline::Pipeline pl = elements::parse_pipeline(
         "Classifier -> EthDecap -> CheckIPHeader -> "
@@ -419,6 +435,33 @@ TEST_F(CacheTest, BoundFeasibilityPersistsOnlyInTheSolverMemo) {
   EXPECT_EQ(warm.max_instructions, cold.max_instructions);
   ASSERT_TRUE(cold.witness.has_value() && warm.witness.has_value());
   EXPECT_EQ(warm.witness->hex(), cold.witness->hex());
+
+  const fs::path reach_dir = dir_ / "reach";
+  VerdictCache cache(reach_dir.string());
+  verify::DecomposedConfig cfg;
+  cfg.packet_len = 64;
+  cfg.decision_cache = &cache;
+  verify::DecomposedVerifier v(cfg);
+  verify::TerminalSpec tspec;
+  tspec.required_exit_port = 0;
+  const uint32_t dst = net::parse_ipv4("10.1.2.3");
+  const verify::ReachabilityReport reach = v.verify_reach_never(
+      elements::parse_pipeline(
+          "Classifier -> EthDecap -> CheckIPHeader -> "
+          "IPLookup(10.0.0.0/8 0, 192.168.0.0/16 1, 172.16.0.0/12 0) -> "
+          "DecIPTTL -> IPOptions -> EthEncap"),
+      [dst](const symbex::SymPacket& p) {
+        return verify::both(verify::wellformed_ipv4_checksummed(p, 0),
+                            verify::dst_ip_is(p, dst, 14));
+      },
+      tspec);
+  EXPECT_EQ(reach.verdict, verify::Verdict::Proven);
+  EXPECT_GE(reach.stats.suspects_found, 50u);
+  size_t reach_entries = 0;
+  for (const auto& f : fs::recursive_directory_iterator(reach_dir)) {
+    if (f.is_regular_file()) ++reach_entries;
+  }
+  EXPECT_EQ(reach_entries, v.solver().stats().memo_stores);
 }
 
 TEST_F(CacheTest, WarmHitsCrossJobCountAndIncrementalMode) {

@@ -220,6 +220,31 @@ expect_usage_error "a non-identifier --element rejected" \
   "$VSD" state "NetFlow" --bound 2 --element 'NetFlow) <= 9; assert crash_free'
 expect_usage_error "a non-address --dst rejected" \
   "$VSD" reach "$ROUTER" --dst '8.8.8.8; assert crash_free'
+expect_usage_error "a --dst with whitespace and a sign rejected" \
+  "$VSD" reach "$ROUTER" --dst " +8.8.8.8"
+
+# Only a trap counterexample prints a trap kind: a dropped packet and the
+# packets of a bounded-state sequence carry none.
+expect_no_trap_line() {
+  desc="$1"; shift
+  if "$@" 2>&1 | grep -q '^  trap:'; then
+    echo "FAIL: $desc: printed a trap line"
+    fails=$((fails + 1))
+  else
+    echo "ok: $desc"
+  fi
+}
+expect_no_trap_line "reach 8.8.8.8 drop has no trap line" \
+  "$VSD" reach "$ROUTER" --dst 8.8.8.8
+expect_no_trap_line "state NetFlow sequence has no trap line" \
+  "$VSD" state "NetFlow" --bound 2 --len 40
+if "$VSD" verify "UnsafeStrip(14) -> CheckIPHeader -> Discard" \
+    --property crash --len 8 | grep -q '^  trap: pull-underflow$'; then
+  echo "ok: the UnsafeStrip crash prints its trap kind"
+else
+  echo "FAIL: the UnsafeStrip crash printed no trap kind"
+  fails=$((fails + 1))
+fi
 
 # vsd asm and vsd verify-ir on hand-written elements: a TTL checker that
 # guards its packet read, and one that does not.

@@ -58,6 +58,12 @@ TEST(Ipv4, ParseFormatRoundTrip) {
   EXPECT_THROW(parse_ipv4("10.0.0"), std::invalid_argument);
   EXPECT_THROW(parse_ipv4("10.0.0.256"), std::invalid_argument);
   EXPECT_THROW(parse_ipv4("10.0.0.1.2"), std::invalid_argument);
+  // Octets are plain digits: no whitespace, no sign, nothing that overflows.
+  for (const char* bad : {" 1.2.3.4", "+1.2.3.4", "1.2.3.4 ", "-1.0.0.0",
+                          "99999999999.0.0.0", "1. 2.3.4", "1.2.3.+4", "",
+                          "1..2.3", "1.2.3.0004"}) {
+    EXPECT_THROW(parse_ipv4(bad), std::invalid_argument) << '"' << bad << '"';
+  }
 }
 
 TEST(Ipv4, MakePacketIsWellFormed) {

@@ -287,7 +287,7 @@ std::multiset<SuspectId> suspect_ids(
     const std::vector<Counterexample>& ces) {
   std::multiset<SuspectId> out;
   for (const Counterexample& ce : ces) {
-    out.insert({ce.element_path, static_cast<int>(ce.trap),
+    out.insert({ce.element_path, ce.trap ? static_cast<int>(*ce.trap) : -1,
                 ce.requires_sequence});
   }
   return out;
@@ -461,7 +461,7 @@ std::vector<CeIdentity> ce_identities(const std::vector<Counterexample>& ces) {
   std::vector<CeIdentity> out;
   for (const Counterexample& ce : ces) {
     out.emplace_back(packet_bytes(ce.packet), ce.element_path,
-                     static_cast<int>(ce.trap), ce.state_note,
+                     ce.trap ? static_cast<int>(*ce.trap) : -1, ce.state_note,
                      ce.requires_sequence);
   }
   return out;

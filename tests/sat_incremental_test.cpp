@@ -567,8 +567,7 @@ TEST(SatClauseGC, ReduceLearntsPreservesAnswers) {
 // --- Solver-level query avoidance -------------------------------------------
 
 TEST(SolverCoreGrouping, StoredCoreDischargesSupersetQueries) {
-  // The default ladder: 16-bit vars keep small-domain exhaustion out, and
-  // `c` shares x with the core so slicing cannot split it off.
+  // The default ladder: 16-bit vars keep small-domain exhaustion out.
   solver::Solver sv;
   const bv::ExprRef x = bv::mk_var("x", 16);
   const bv::ExprRef y = bv::mk_var("y", 16);
@@ -590,7 +589,15 @@ TEST(SolverCoreGrouping, StoredCoreDischargesSupersetQueries) {
   EXPECT_GT(sv.stats().core_discharges, 0u);
   EXPECT_EQ(sv.stats().decided_by_sat + sv.stats().incremental_queries,
             solves_before);
-  EXPECT_TRUE(sv.discharge_by_core(bv::mk_land(b, a)));
+  const uint64_t discharges = sv.stats().core_discharges;
+  EXPECT_EQ(sv.check_feasible(bv::mk_land(b, a)), solver::Result::Unsat);
+  EXPECT_EQ(sv.stats().core_discharges, discharges + 1);
+  // The core rung runs right after constant folding, ahead of the uid
+  // cache: a repeated superset query is discharged by the core again.
+  const uint64_t cache_hits = sv.stats().cache_hits;
+  EXPECT_EQ(sv.check_feasible(bv::mk_land_all(conj)), solver::Result::Unsat);
+  EXPECT_EQ(sv.stats().core_discharges, discharges + 2);
+  EXPECT_EQ(sv.stats().cache_hits, cache_hits);
 }
 
 TEST(SolverCexCache, ReplayedModelDecidesWithoutSolving) {

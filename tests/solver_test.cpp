@@ -1,6 +1,9 @@
 // Tests for the CDCL SAT solver and the bit-vector decision procedure.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "bv/analysis.hpp"
 #include "net/workload.hpp"
 #include "solver/bitblast.hpp"
@@ -381,7 +384,6 @@ TEST(SolverFuzz, AgreesWithBruteForceOnRandomFormulas) {
   EXPECT_GT(st.cache_hits, 0u);
   EXPECT_GT(st.exhaustion_decided, 0u);
   EXPECT_GT(st.cex_cache_hits, 0u);
-  EXPECT_GT(st.slice_decided, 0u);
 }
 
 // The raw CDCL layer against brute force on random small CNFs.
@@ -656,26 +658,62 @@ TEST(BitBlastCompleteness, FixedOperandsPropagateEveryOperator) {
   EXPECT_GT(lowered, 100);
 }
 
-// --- Query avoidance: independence slicing and model determinism ------------
+// --- The persistent memo and model determinism -----------------------------
 
-TEST(QueryAvoidance, VariableDisjointConjunctionIsSliced) {
-  solver::Solver sv;
-  const ExprRef x = bv::mk_var("x", 16);
-  const ExprRef y = bv::mk_var("y", 16);
-  const ExprRef z = bv::mk_var("z", 16);
-  // Component {x, y} is Sat; component {z} is contradictory on its own.
-  // Slicing must refute the whole conjunction from the z-component alone.
-  const ExprRef sat_part = bv::mk_eq(bv::mk_add(x, y), bv::mk_const(3, 16));
-  const ExprRef z_low = bv::mk_ult(z, bv::mk_const(5, 16));
-  const ExprRef z_high = bv::mk_ult(bv::mk_const(9, 16), z);
-  const std::vector<ExprRef> conj{sat_part, z_low, z_high};
+// A verdict-only memo over an in-memory map, as verify::PathDecisionCache
+// is over the on-disk store.
+class MapMemo : public solver::FeasibilityMemo {
+ public:
+  bool lookup_decision(uint64_t hi, uint64_t lo, bool* sat) override {
+    const auto it = verdicts_.find({hi, lo});
+    if (it == verdicts_.end()) return false;
+    *sat = it->second;
+    return true;
+  }
+  void store_decision(uint64_t hi, uint64_t lo, bool sat) override {
+    verdicts_[{hi, lo}] = sat;
+  }
+  size_t size() const { return verdicts_.size(); }
 
-  EXPECT_EQ(sv.check_feasible(bv::mk_land_all(conj)), solver::Result::Unsat);
-  EXPECT_GE(sv.stats().slice_components, 2u);
-  EXPECT_EQ(sv.stats().slice_decided, 1u);
+ private:
+  std::map<std::pair<uint64_t, uint64_t>, bool> verdicts_;
+};
+
+TEST(SolverMemo, CheckConsultsTheMemoLikeCheckFeasible) {
+  const ExprRef x = bv::mk_var("x", 32);
+  const ExprRef y = bv::mk_var("y", 32);
+  // An odd product forces both low bits to 1, so the sum is even: Unsat,
+  // and only the SAT core decides it.
+  const ExprRef unsat = bv::mk_land(
+      bv::mk_eq(bv::mk_mul(x, y), bv::mk_const(35, 32)),
+      bv::mk_eq(bv::mk_add(x, y), bv::mk_const(3, 32)));
+  const ExprRef sat = bv::mk_land(
+      bv::mk_eq(bv::mk_mul(x, y), bv::mk_const(35, 32)),
+      bv::mk_eq(bv::mk_add(x, y), bv::mk_const(12, 32)));
+  MapMemo memo;
+  solver::Solver cold;
+  cold.set_feasibility_memo(&memo);
+  ASSERT_EQ(cold.check_feasible(unsat), solver::Result::Unsat);
+  ASSERT_EQ(cold.check_feasible(sat), solver::Result::Sat);
+  ASSERT_EQ(cold.stats().memo_stores, 2u);
+
+  // A memoized Unsat costs no SAT solve.
+  solver::Solver warm;
+  warm.set_feasibility_memo(&memo);
+  EXPECT_EQ(warm.check(unsat).result, solver::Result::Unsat);
+  EXPECT_EQ(warm.stats().memo_hits, 1u);
+  EXPECT_EQ(warm.stats().decided_by_sat + warm.stats().incremental_queries,
+            0u);
+  // A memoized Sat still derives its witness one-shot from the expression.
+  const solver::CheckResult r = warm.check(sat);
+  ASSERT_EQ(r.result, solver::Result::Sat);
+  EXPECT_EQ(warm.stats().memo_hits, 2u);
+  EXPECT_EQ(warm.stats().decided_by_sat, 1u);
+  EXPECT_EQ(warm.stats().incremental_queries, 0u);
+  EXPECT_EQ(bv::evaluate(sat, r.model), 1u);
 }
 
-TEST(QueryAvoidance, SlicedSatConjunctionStillYieldsAWholeModel) {
+TEST(QueryAvoidance, DisjointSatConjunctionYieldsAWholeModel) {
   solver::Solver sv;
   const ExprRef x = bv::mk_var("x", 16);
   const ExprRef z = bv::mk_var("z", 16);
@@ -685,8 +723,8 @@ TEST(QueryAvoidance, SlicedSatConjunctionStillYieldsAWholeModel) {
   const ExprRef e = bv::mk_land_all(conj);
   const solver::CheckResult r = sv.check(e);
   ASSERT_EQ(r.result, solver::Result::Sat);
-  // The model is derived one-shot from the original conjunction, never
-  // stitched from per-component models: it must satisfy the whole query.
+  // The model is derived one-shot from the whole conjunction: it must
+  // satisfy every variable-disjoint part of the query.
   EXPECT_EQ(bv::evaluate(e, r.model), 1u);
 }
 

@@ -596,7 +596,7 @@ TEST(Check, ReachableFailsWhenPacketsExitElsewhere) {
 // --- JSON report ----------------------------------------------------------------
 
 TEST(ReportJson, StatsKeysKeepTheirNamesAndOrder) {
-  // Serve clients and bench/e2e read these 30 keys by name, in this order.
+  // Serve clients and bench/e2e read these 28 keys by name, in this order.
   // Each counter is set through its own field with a distinct value, so a
   // key bound to the wrong field fails here too.
   const verify::VerifyStats s{
@@ -622,14 +622,12 @@ TEST(ReportJson, StatsKeysKeepTheirNamesAndOrder) {
       .learnt_retained = 20,
       .sat_solves = 21,
       .exhaustion_decided = 22,
-      .slice_decided = 23,
-      .cex_cache_hits = 24,
-      .core_discharges = 25,
-      .suspects_core_discharged = 26,
-      .learnt_gc_runs = 27,
-      .learnt_gc_removed = 28,
-      .decision_cache_hits = 29,
-      .refine_cache_hits = 30,
+      .cex_cache_hits = 23,
+      .core_discharges = 24,
+      .learnt_gc_runs = 25,
+      .learnt_gc_removed = 26,
+      .decision_cache_hits = 27,
+      .refine_cache_hits = 28,
   };
   EXPECT_EQ(stats_json(s),
             "{"
@@ -644,10 +642,9 @@ TEST(ReportJson, StatsKeysKeepTheirNamesAndOrder) {
             "\"contexts_opened\":17,\"incremental_queries\":18,"
             "\"assumption_reuses\":19,\"learnt_retained\":20,"
             "\"sat_solves\":21,\"exhaustion_decided\":22,"
-            "\"slice_decided\":23,\"cex_cache_hits\":24,"
-            "\"core_discharges\":25,\"suspects_core_discharged\":26,"
-            "\"learnt_gc_runs\":27,\"learnt_gc_removed\":28,"
-            "\"decision_cache_hits\":29,\"refine_cache_hits\":30"
+            "\"cex_cache_hits\":23,\"core_discharges\":24,"
+            "\"learnt_gc_runs\":25,\"learnt_gc_removed\":26,"
+            "\"decision_cache_hits\":27,\"refine_cache_hits\":28"
             "}");
   // The merge sums every counter.
   verify::VerifyStats twice = s;

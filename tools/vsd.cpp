@@ -242,7 +242,7 @@ void print_stats(const verify::VerifyStats& s) {
 }
 
 void print_counterexample(const verify::Counterexample& ce) {
-  std::printf("  trap: %s\n", ir::trap_name(ce.trap));
+  if (ce.trap) std::printf("  trap: %s\n", ir::trap_name(*ce.trap));
   std::printf("  packet: %s\n", ce.packet.hex(48).c_str());
   if (!ce.element_path.empty()) {
     std::printf("  path:");
